@@ -937,10 +937,7 @@ impl Simulator {
             );
         }
         if unavailable {
-            if let Some(t) = self.txns.get_mut(id) {
-                t.abort_cause = Some(AbortCause::ReplicaUnavailable);
-            }
-            self.complete_abort(now, id);
+            self.abort_replica_unavailable(now, id);
             return;
         }
         // Run 1 pays the coordinator process-startup cost at the host.
@@ -1108,10 +1105,7 @@ impl Simulator {
                         |n| self.nodes[n.0].up,
                         &mut self.read_rr,
                     ) {
-                        if let Some(txn) = self.txns.get_mut(id) {
-                            txn.abort_cause = Some(AbortCause::ReplicaUnavailable);
-                        }
-                        self.complete_abort(now, id);
+                        self.abort_replica_unavailable(now, id);
                         return;
                     }
                 } else {
@@ -1124,10 +1118,7 @@ impl Simulator {
                             }
                         }
                         Err(_file) => {
-                            if let Some(txn) = self.txns.get_mut(id) {
-                                txn.abort_cause = Some(AbortCause::ReplicaUnavailable);
-                            }
-                            self.complete_abort(now, id);
+                            self.abort_replica_unavailable(now, id);
                             return;
                         }
                     }
@@ -1674,13 +1665,14 @@ impl Simulator {
                 // Fault injection can retransmit this message, so a stale
                 // copy (newer run, already-settled cohort, or a cohort whose
                 // state a crash destroyed) must not dismantle fresh state —
-                // it is acknowledged without touching the CC manager.
+                // it is acknowledged without touching the CC manager. The run
+                // is compared first: a restart re-routed under faults may
+                // have fewer cohorts than the run the message was sent for.
                 let fresh = self.txns.get(txn).is_some_and(|t| {
-                    let c = &t.cohorts[cohort];
-                    t.run == run
-                        && !c.settled
-                        && !c.lost
-                        && c.load_epoch == self.nodes[node.0].epoch
+                    t.run == run && {
+                        let c = &t.cohorts[cohort];
+                        !c.settled && !c.lost && c.load_epoch == self.nodes[node.0].epoch
+                    }
                 });
                 if fresh {
                     if let Some(t) = self.txns.get_mut(txn) {
@@ -2090,7 +2082,13 @@ impl Simulator {
             txn.phase_clock(now);
         }
         txn.phase = TxnPhase::WaitingRestart;
-        let fallback = now.since(txn.origin);
+        let mut fallback = now.since(txn.origin);
+        if fallback.is_zero() {
+            // Aborted at its submission instant (no live replica set): a
+            // zero delay would restart it into the same state at the same
+            // instant forever, so back off as a message to a down node does.
+            fallback = self.config.faults.msg_retry;
+        }
         let run = txn.run;
         let run_lifetime = now.since(txn.run_start);
         let cause = txn.abort_cause.take().unwrap_or(AbortCause::Validation);
@@ -2124,6 +2122,42 @@ impl Simulator {
         let delay = self.metrics.restart_delay(fallback);
         self.calendar
             .schedule_after(delay, Event::Restart { txn: id });
+    }
+
+    /// A run that finds no live replica set aborts before loading any
+    /// cohort. It still passes through `Aborting`, as every abort does, and
+    /// then completes at once.
+    fn abort_replica_unavailable(&mut self, now: SimTime, id: TxnId) {
+        let Some(txn) = self.txns.get_mut(id) else {
+            return;
+        };
+        if self.trace_phases {
+            txn.phase_clock(now);
+        }
+        txn.phase = TxnPhase::Aborting;
+        txn.abort_cause = Some(AbortCause::ReplicaUnavailable);
+        let run = txn.run;
+        if let Some(tr) = &mut self.tracer {
+            tr.push(
+                now,
+                TraceEvent::Phase {
+                    txn: id,
+                    run,
+                    phase: TxnPhase::Aborting,
+                },
+            );
+        }
+        if let Some(w) = &mut self.witness {
+            w.push(
+                now,
+                WitnessEvent::Phase {
+                    txn: id,
+                    run,
+                    phase: TxnPhase::Aborting,
+                },
+            );
+        }
+        self.complete_abort(now, id);
     }
 
     fn on_abort_request(&mut self, now: SimTime, id: TxnId, run: RunId, cause: AbortCause) {

@@ -12,7 +12,7 @@
 use crate::violation::{Violation, ViolationKind};
 use ddbm_config::{NodeId, TxnId};
 use ddbm_core::protocol::RunId;
-use ddbm_core::{TxnPhase, WitnessEvent, WitnessReply};
+use ddbm_core::{TxnPhase, WitnessEvent};
 use denet::{FxHashMap, FxHashSet, SimTime};
 
 /// See module docs.
@@ -136,7 +136,6 @@ impl PhaseTracker {
                         detail: "access request after this node released the run".into(),
                     });
                 }
-                let _ = reply == WitnessReply::Granted;
             }
             WitnessEvent::Grant {
                 txn,

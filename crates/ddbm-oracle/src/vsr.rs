@@ -101,15 +101,15 @@ pub struct VsrCollector {
     order: VersionOrder,
     /// Currently visible version per *replica* of a page (None = initial
     /// database state). Single-copy runs have exactly one entry per page;
-    /// replicated runs collapse to one-copy semantics at read-record and
-    /// finalize time.
+    /// replicated runs collapse to one-copy semantics at finalize time.
     current: FxHashMap<(NodeId, PageId), Version>,
-    /// Reads-from per run: (page, installed version read; None = initial).
-    /// A replicated (quorum) read observes several replicas and returns the
-    /// newest version among them, so multiple observations of one page by
-    /// one run keep only the newest candidate.
+    /// Reads-from per run, one entry per observation in stream order:
+    /// (page, installed version read; None = initial). A replicated
+    /// (quorum) read observes several replicas; [`collapse_reads`] keeps
+    /// one entry per page at finalize time.
     reads: FxHashMap<Run, Vec<(PageId, Option<Version>)>>,
-    /// Pages installed per run, with the order key used.
+    /// Pages installed per run, once per written replica (the logical
+    /// write set is deduplicated at finalize time).
     installs: FxHashMap<Run, Vec<PageId>>,
     /// First-install stream position per run (tiebreak for truncated runs).
     install_seq: FxHashMap<Run, u64>,
@@ -139,24 +139,7 @@ impl VsrCollector {
 
     fn record_read(&mut self, txn: TxnId, run: RunId, node: NodeId, page: PageId) {
         let obs = self.current.get(&(node, page)).copied();
-        let list = self.reads.entry((txn, run)).or_default();
-        // One-copy collapse: a quorum read touches several replicas and
-        // returns the newest version it saw, so a repeat observation of the
-        // same page by the same run only replaces a strictly older one.
-        // Single-copy runs never observe a page twice per run.
-        match list.iter_mut().find(|(p, _)| *p == page) {
-            Some((_, existing)) => {
-                let better = match (&existing, &obs) {
-                    (None, Some(_)) => true,
-                    (Some(e), Some(o)) => o.newer_than(e),
-                    _ => false,
-                };
-                if better {
-                    *existing = obs;
-                }
-            }
-            None => list.push((page, obs)),
-        }
+        self.reads.entry((txn, run)).or_default().push((page, obs));
     }
 
     /// Feed one witnessed event.
@@ -210,12 +193,7 @@ impl VsrCollector {
                     self.current.insert((node, page), candidate);
                 }
                 let run_key = (txn, run);
-                // Replicated installs repeat the page once per written
-                // replica; the logical write set is deduplicated.
-                let pages = self.installs.entry(run_key).or_default();
-                if !pages.contains(&page) {
-                    pages.push(page);
-                }
+                self.installs.entry(run_key).or_default().push(page);
                 self.install_seq.entry(run_key).or_insert(self.seq);
                 self.install_ts.insert(run_key, (run_ts, commit_ts));
             }
@@ -276,6 +254,9 @@ impl VsrCollector {
         }
         for w in writers.values_mut() {
             w.sort_by_key(|r| pos[r]);
+            // Replicated installs repeat the page once per written replica;
+            // the logical write set lists each writer once.
+            w.dedup();
         }
         // One-copy collapse of the final state: per logical page, the newest
         // committed version across every replica.
@@ -296,11 +277,13 @@ impl VsrCollector {
         // Reads by committed runs only; drop reads-from of uncommitted
         // writers (impossible: installs imply commitment) defensively.
         let mut read_edges: Vec<(Run, PageId, Option<Run>)> = Vec::new();
-        for (&r, list) in &self.reads {
+        let mut scratch = Vec::new();
+        for (&r, list) in &mut self.reads {
             if !self.committed_set.contains(&r) {
                 continue;
             }
-            for &(page, obs) in list {
+            collapse_reads(list, &mut scratch);
+            for &(page, obs) in list.iter() {
                 let from = obs.map(|v| v.writer);
                 if from.is_none_or(|w| self.committed_set.contains(&w)) {
                     read_edges.push((r, page, from));
@@ -515,6 +498,38 @@ impl VsrCollector {
     }
 }
 
+/// One-copy collapse of one run's reads to one entry per page. A quorum
+/// read touches several replicas and returns the newest version it saw, so
+/// a repeat observation of a page only replaces a strictly older one.
+/// Single-copy runs never observe a page twice per run.
+fn collapse_reads(list: &mut Vec<(PageId, Option<Version>)>, scratch: &mut Vec<PageId>) {
+    // Sorting the bare page ids is cheaper than sorting the observations,
+    // and finds that most lists hold no repeat at all.
+    scratch.clear();
+    scratch.extend(list.iter().map(|&(page, _)| page));
+    scratch.sort_unstable();
+    if scratch.windows(2).all(|w| w[0] != w[1]) {
+        return;
+    }
+    // Each version has a unique stream position, so the newest observation
+    // of a page is unique and the order of its repeats does not matter.
+    list.sort_unstable_by_key(|&(page, _)| page);
+    list.dedup_by(|(page, obs), (kept_page, kept)| {
+        if page != kept_page {
+            return false;
+        }
+        let better = match (&kept, &obs) {
+            (None, Some(_)) => true,
+            (Some(e), Some(o)) => o.newer_than(e),
+            _ => false,
+        };
+        if better {
+            *kept = *obs;
+        }
+        true
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,6 +637,72 @@ mod tests {
         }
         let out = c.finalize(10_000);
         assert!(matches!(out, VsrOutcome::Serializable { .. }), "{out:?}");
+    }
+
+    #[test]
+    fn quorum_read_keeps_the_newest_replica_version() {
+        // Page 0 has replicas at nodes 1–3. T1 writes nodes 1 and 2, T2
+        // only node 2. T3's quorum read sees T1's version at node 1, T2's
+        // at node 2 and the initial state at node 3: it read from T2, so
+        // the commit order T1, T2, T3 explains it directly.
+        let at = |ev: WitnessEvent, node: usize| match ev {
+            WitnessEvent::Access {
+                txn,
+                run,
+                page,
+                write,
+                reply,
+                initial_ts,
+                run_ts,
+                ..
+            } => WitnessEvent::Access {
+                txn,
+                run,
+                node: ddbm_config::NodeId(node),
+                page,
+                write,
+                reply,
+                initial_ts,
+                run_ts,
+            },
+            WitnessEvent::Install {
+                txn,
+                run,
+                page,
+                run_ts,
+                commit_ts,
+                ..
+            } => WitnessEvent::Install {
+                txn,
+                run,
+                node: ddbm_config::NodeId(node),
+                page,
+                run_ts,
+                commit_ts,
+            },
+            other => other,
+        };
+        let mut c = VsrCollector::new(VersionOrder::StreamOrder);
+        for ev in [
+            at(install(1, 0), 1),
+            at(install(1, 0), 2),
+            committed(1),
+            at(install(2, 0), 2),
+            committed(2),
+            at(read(3, 0), 1),
+            at(read(3, 0), 2),
+            at(read(3, 0), 3),
+            committed(3),
+        ] {
+            c.observe(&ev);
+        }
+        assert_eq!(
+            c.finalize(10_000),
+            VsrOutcome::Serializable {
+                txns: 3,
+                certificate: "candidate-order",
+            }
+        );
     }
 
     #[test]
