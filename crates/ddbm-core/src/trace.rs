@@ -95,7 +95,8 @@ pub enum TraceEvent {
     },
 }
 
-/// The live recorder owned by the simulator while `trace.events` is on.
+/// The event recorder, owned by the simulator's observer while `trace.events`
+/// is on.
 #[derive(Debug)]
 pub struct Tracer {
     ring: TraceRing<TraceEvent>,

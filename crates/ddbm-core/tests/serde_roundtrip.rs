@@ -139,3 +139,15 @@ fn missing_extension_fields_default() {
     assert_eq!(r.buffer_hit_ratio, 0.0);
     assert_eq!(r.response_time_ci95, 0.0);
 }
+
+/// A `Config` written before `control.record_history` was removed (every
+/// `.repro.json` of that era carries it) still loads, to an equal value.
+#[test]
+fn config_with_retired_record_history_field_loads() {
+    let config = Config::paper(Algorithm::WoundWait, 4, 4, 1.0);
+    let json = serde_json::to_string(&config).expect("serializes");
+    let old = json.replacen("\"control\":{", "\"control\":{\"record_history\":false,", 1);
+    assert_ne!(old, json, "the control section was found");
+    let loaded: Config = serde_json::from_str(&old).expect("old document loads");
+    assert_eq!(loaded, config);
+}

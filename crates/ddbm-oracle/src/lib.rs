@@ -22,6 +22,10 @@
 //!   the committed history, closing the conflict-serializability gap for
 //!   OPT and the Thomas rule (informational for the NO_DC baseline, which
 //!   is serializable only without data contention).
+//! * **Conflict serializability** ([`conflict_cycle`]) — the committed
+//!   history's conflict graph must be acyclic for the strict locking
+//!   family. A standalone check over a recording (the chaos and
+//!   serializability suites call it); [`check_stream`] does not run it.
 //!
 //! When a check fails, [`shrink_workload`] delta-debugs the recorded
 //! workload to a smallest still-failing script and [`ReproFile`] freezes
@@ -29,6 +33,7 @@
 //! that deterministically replays the violation.
 
 pub mod btocheck;
+pub mod conflict;
 pub mod locking;
 pub mod phase;
 pub mod replica;
@@ -38,6 +43,7 @@ pub mod violation;
 pub mod vsr;
 
 pub use btocheck::BtoChecker;
+pub use conflict::conflict_cycle;
 pub use ddbm_core::{WitnessEvent, WitnessReply, WitnessStream};
 pub use locking::{LockChecker, LockVariant};
 pub use phase::PhaseTracker;
