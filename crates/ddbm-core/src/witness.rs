@@ -18,7 +18,7 @@
 
 use crate::protocol::RunId;
 use crate::txn::TxnPhase;
-use ddbm_cc::Ts;
+use ddbm_cc::{AccessReply, Ts};
 use ddbm_config::{NodeId, PageId, TxnId};
 use denet::SimTime;
 
@@ -31,6 +31,16 @@ pub enum WitnessReply {
     Blocked,
     /// Requester must abort itself.
     Rejected,
+}
+
+impl From<AccessReply> for WitnessReply {
+    fn from(reply: AccessReply) -> WitnessReply {
+        match reply {
+            AccessReply::Granted => WitnessReply::Granted,
+            AccessReply::Blocked => WitnessReply::Blocked,
+            AccessReply::Rejected => WitnessReply::Rejected,
+        }
+    }
 }
 
 /// One witnessed protocol event. Every variant carries enough context
