@@ -1,9 +1,11 @@
 //! Stream golden: pins the exact contents of both observation streams — the
 //! event trace (as exported JSONL bytes) and the protocol witness stream (as
-//! its `Debug` rendering) — for three configurations that between them hit
+//! its `Debug` rendering) — for six configurations that between them hit
 //! every probe kind: lock waits and the Snoop (2PL), wounds, crashes and
 //! retransmissions (WW under faults), and certification with replicated
-//! installs over a lossy network (OPT, 3-way ROWA).
+//! installs over a lossy network (OPT, 3-way ROWA). Three more cases pin
+//! the remaining lock rules: wait-die deaths, 2PL-T lock-wait timeouts,
+//! and 2PL with barging grants.
 //!
 //! The determinism golden pins run *reports*; this test pins the order and
 //! payload of every observed event, so a refactor of the observation path
@@ -87,12 +89,37 @@ fn opt_rowa3_lossy() -> Config {
     short(c)
 }
 
+/// Wait-die on a small, hot 4-node machine: younger requesters die.
+fn wd_hot() -> Config {
+    let mut c = Config::paper(Algorithm::WaitDie, 4, 4, 0.5);
+    c.workload.num_terminals = 16;
+    c.database.pages_per_file = 50;
+    c.control.seed = 11;
+    short(c)
+}
+
+/// Timeout-resolved 2PL on the paper's 8-node, 8-way machine under load,
+/// with a lock-wait timeout short enough to fire.
+fn two_pl_timeout() -> Config {
+    let mut c = Config::paper(Algorithm::TwoPhaseLockingTimeout, 8, 8, 0.0);
+    c.system.lock_timeout = SimDuration::from_secs_f64(0.5);
+    short(c)
+}
+
+/// 2PL with barging grants on the paper's 8-node, 8-way machine under
+/// load.
+fn two_pl_barging() -> Config {
+    let mut c = Config::paper(Algorithm::TwoPhaseLocking, 8, 8, 0.0);
+    c.system.lock_barging = true;
+    short(c)
+}
+
 /// `(name, config, markers its streams must contain, golden digests)`.
 type Case = (&'static str, Config, &'static [&'static str], (u64, u64));
 
 #[test]
 fn observation_streams_match_golden() {
-    let cases: [Case; 3] = [
+    let cases: [Case; 6] = [
         (
             "2PL 8x8",
             two_pl(),
@@ -110,6 +137,24 @@ fn observation_streams_match_golden() {
             opt_rowa3_lossy(),
             &["ok: false", "Install", "AbortingVote", "msg_arrive"],
             (0x99c1_6600_053a_ea5e, 0xa033_9835_3c83_c85d),
+        ),
+        (
+            "WD hot 4x4",
+            wd_hot(),
+            &["reply: Rejected", "lock_wait_end"],
+            (0x7c91_a77a_2b1d_c25b, 0x0554_95ad_7471_8bca),
+        ),
+        (
+            "2PL-T 8x8",
+            two_pl_timeout(),
+            &["AbortRequest", "lock_wait_begin"],
+            (0x8ab1_36b4_eb19_b131, 0x53ca_8b4c_7be5_1c11),
+        ),
+        (
+            "2PL barging 8x8",
+            two_pl_barging(),
+            &["reply: Rejected", "SnoopRequest", "lock_wait_end"],
+            (0x4041_d614_a619_ee30, 0x5505_ca75_b56b_d646),
         ),
     ];
     let mut mismatches = Vec::new();
