@@ -1,4 +1,5 @@
-//! A per-node lock table shared by the 2PL and wound-wait managers.
+//! The per-node lock table behind the lock manager of 2PL, 2PL-T,
+//! wound-wait and wait-die ([`Locking`](crate::locking::Locking)).
 //!
 //! Read locks share; write locks exclude. Requests that cannot be granted
 //! join a FIFO queue, except lock *upgrades* (read → write by the holder),
@@ -346,18 +347,6 @@ impl LockTable {
         }
     }
 
-    /// Holders of `page` whose locks conflict with a `mode` request by `txn`.
-    pub fn conflicting_holders(&self, page: PageId, txn: TxnId, mode: LockMode) -> Vec<TxnId> {
-        let Some(lock) = self.pages.get(&page) else {
-            return Vec::new();
-        };
-        lock.holders
-            .iter()
-            .filter(|(t, held)| *t != txn && !held.compatible(mode))
-            .map(|(t, _)| *t)
-            .collect()
-    }
-
     /// Waits-for edges implied by the table: each waiter waits for every
     /// conflicting holder and every conflicting request queued ahead of it
     /// (FIFO queues make those real waits too).
@@ -621,24 +610,6 @@ mod tests {
         edges.sort();
         assert!(edges.contains(&(TxnId(1), TxnId(2))));
         assert!(edges.contains(&(TxnId(2), TxnId(1))));
-    }
-
-    #[test]
-    fn conflicting_holders_ignores_self_and_compatible() {
-        let mut lt = LockTable::new();
-        lt.request(TxnId(1), page(1), LockMode::Read);
-        lt.request(TxnId(2), page(1), LockMode::Read);
-        assert_eq!(
-            lt.conflicting_holders(page(1), TxnId(3), LockMode::Write),
-            vec![TxnId(1), TxnId(2)]
-        );
-        assert!(lt
-            .conflicting_holders(page(1), TxnId(3), LockMode::Read)
-            .is_empty());
-        assert_eq!(
-            lt.conflicting_holders(page(1), TxnId(1), LockMode::Write),
-            vec![TxnId(2)]
-        );
     }
 
     #[test]

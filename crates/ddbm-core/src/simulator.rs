@@ -457,7 +457,7 @@ impl Simulator {
                     "a stale CpuPoll fired"
                 );
                 self.touch_cpu(now, node);
-                self.resched_cpu(now, node);
+                self.resched_cpu(node);
             }
             Event::DiskPoll { node } => {
                 debug_assert_eq!(
@@ -466,7 +466,7 @@ impl Simulator {
                     "a stale DiskPoll fired"
                 );
                 self.touch_disks(now, node);
-                self.resched_disks(now, node);
+                self.resched_disks(node);
             }
             Event::Restart { txn } => self.restart_txn(now, txn),
             Event::SnoopWake { node, round } => self.snoop_wake(now, node, round),
@@ -477,8 +477,8 @@ impl Simulator {
                 access,
             } => self.on_lock_timeout(now, txn, run, cohort, access),
             Event::NodeDown { node } => self.on_node_down(now, node),
-            Event::NodeUp { node } => self.on_node_up(now, node),
-            Event::DiskStall { node, until } => self.on_disk_stall(now, node, until),
+            Event::NodeUp { node } => self.on_node_up(node),
+            Event::DiskStall { node, until } => self.on_disk_stall(node, until),
             Event::CohortTimeout { txn, run } => self.on_cohort_timeout(now, txn, run),
             Event::MsgArrive { mut msg } => {
                 // Take the contents and recycle the envelope (capped so a
@@ -565,8 +565,8 @@ impl Simulator {
         self.obs
             .witness_with(now, || WitnessEvent::NodeCrash { node });
         self.metrics.faults.crashes += 1;
-        self.resched_cpu(now, node);
-        self.resched_disks(now, node);
+        self.resched_cpu(node);
+        self.resched_disks(node);
         // Sweep the coordinator's table for cohorts that lived at this node.
         // Two passes (collect, then act) because acting sends messages, which
         // needs `&mut self`. Slab iteration order is deterministic.
@@ -613,30 +613,30 @@ impl Simulator {
         for id in synths {
             self.synth_ack(now, id);
         }
-        self.restart_snoop(now);
+        self.restart_snoop();
     }
 
     /// A crashed node finishes recovery: its partitions are re-admitted (new
     /// cohorts can load there again; messages parked by the retry loop start
     /// landing).
-    fn on_node_up(&mut self, now: SimTime, node: NodeId) {
+    fn on_node_up(&mut self, node: NodeId) {
         if self.nodes[node.0].up {
             return;
         }
         self.nodes[node.0].up = true;
         self.metrics.faults.recoveries += 1;
-        self.restart_snoop(now);
+        self.restart_snoop();
     }
 
     /// A planned disk-stall interval begins: every disk at the node defers
     /// completions (including the transfers currently in service) to `until`.
-    fn on_disk_stall(&mut self, now: SimTime, node: NodeId, until: SimTime) {
+    fn on_disk_stall(&mut self, node: NodeId, until: SimTime) {
         if !self.nodes[node.0].up {
             return; // the crash already destroyed the queued work
         }
         self.metrics.faults.disk_stalls += 1;
         self.nodes[node.0].disks.stall_all(until);
-        self.resched_disks(now, node);
+        self.resched_disks(node);
     }
 
     /// Account one synthesized acknowledgement (for a cohort that crashed
@@ -758,7 +758,7 @@ impl Simulator {
     /// Crashes invalidate the deadlock detector's state: a gather in flight
     /// may be waiting on a reply that will never come, and the Snoop role
     /// itself may sit on a dead node. Restart the round from a live node.
-    fn restart_snoop(&mut self, now: SimTime) {
+    fn restart_snoop(&mut self) {
         let Some(snoop) = &self.snoop else { return };
         let cur = snoop.current;
         let cur_down = !self.nodes[cur.0].up;
@@ -781,7 +781,6 @@ impl Simulator {
         snoop.awaiting = 0;
         snoop.edges.clear();
         let round = snoop.round;
-        let _ = now;
         self.calendar.schedule_after(
             self.config.system.detection_interval,
             Event::SnoopWake { node: next, round },
@@ -1265,7 +1264,7 @@ impl Simulator {
                 false,
                 service,
             );
-            self.resched_disks(now, node);
+            self.resched_disks(node);
         }
     }
 
@@ -1524,7 +1523,7 @@ impl Simulator {
                         | CpuJob::PageProcess { txn: t, run: r, .. } => *t == txn && *r == run,
                         _ => false,
                     });
-                    self.resched_cpu(now, node);
+                    self.resched_cpu(node);
                     self.nodes[node.0].disks.cancel_queued_where(|job| {
                         matches!(job, DiskJob::Read { txn: t, run: r, .. } if *t == txn && *r == run)
                     });
@@ -2036,8 +2035,7 @@ impl Simulator {
     /// event often re-predicts the same resource several times (message
     /// completions submitting replies, grants waking cohorts, ...), and
     /// deferring collapses all of them into at most one cancel/schedule.
-    fn resched_cpu(&mut self, now: SimTime, node: NodeId) {
-        let _ = now;
+    fn resched_cpu(&mut self, node: NodeId) {
         let state = &mut self.nodes[node.0];
         if !state.cpu_dirty {
             state.cpu_dirty = true;
@@ -2094,8 +2092,7 @@ impl Simulator {
 
     /// Deferred twin of [`resched_cpu`](Self::resched_cpu) for the disk
     /// array.
-    fn resched_disks(&mut self, now: SimTime, node: NodeId) {
-        let _ = now;
+    fn resched_disks(&mut self, node: NodeId) {
         let state = &mut self.nodes[node.0];
         if !state.disk_dirty {
             state.disk_dirty = true;
@@ -2124,7 +2121,7 @@ impl Simulator {
         if let Some(done) = self.nodes[node.0].cpu.submit_shared(now, job, instr) {
             self.handle_cpu_done(now, node, done);
         }
-        self.resched_cpu(now, node);
+        self.resched_cpu(node);
     }
 
     /// Queue the send-side protocol processing for a message.
@@ -2140,7 +2137,7 @@ impl Simulator {
         {
             self.deliver(now, m);
         }
-        self.resched_cpu(now, from);
+        self.resched_cpu(from);
     }
 
     /// The network manager: zero wire time — hand the message to the
@@ -2207,7 +2204,7 @@ impl Simulator {
         {
             self.handle_message(now, m);
         }
-        self.resched_cpu(now, to);
+        self.resched_cpu(to);
     }
 
     fn handle_cpu_done(&mut self, now: SimTime, node: NodeId, job: CpuJob) {
@@ -2247,7 +2244,7 @@ impl Simulator {
                     true,
                     service,
                 );
-                self.resched_disks(now, node);
+                self.resched_disks(node);
                 if next + 1 < pages.len() {
                     let instr = self.config.system.inst_per_update as f64;
                     self.cpu_shared(
