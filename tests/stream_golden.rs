@@ -5,15 +5,18 @@
 //! retransmissions (WW under faults), and certification with replicated
 //! installs over a lossy network (OPT, 3-way ROWA). Three more cases pin
 //! the remaining lock rules: wait-die deaths, 2PL-T lock-wait timeouts,
-//! and 2PL with barging grants.
+//! and 2PL with barging grants. The last three pin the replica-routing and
+//! crash-recovery paths: 3-way ROWA and factor-1 replication under crashes
+//! (restarts re-routed onto live replicas, replica-unavailable aborts), and
+//! crashes plus disk stalls under sequential execution with a buffer pool.
 //!
 //! The determinism golden pins run *reports*; this test pins the order and
 //! payload of every observed event, so a refactor of the observation path
 //! that reorders, drops or duplicates one event fails here even when every
 //! report stays bit-identical.
 
-use ddbm::config::{Algorithm, Config, ReplicationParams};
-use ddbm::core::{run_oracle, run_traced, TestHooks};
+use ddbm::config::{Algorithm, Config, ExecPattern, ReplicationParams};
+use ddbm::core::{run_oracle, run_traced, RunReport, TestHooks};
 use ddbm::sim::SimDuration;
 
 /// 64-bit FNV-1a.
@@ -24,10 +27,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// `(trace JSONL digest, witness Debug digest)` for one configuration,
-/// after checking that each stream contains every marker in `covers` (so a
-/// digest never silently pins a run that stopped exercising its probes).
-fn digests(config: &Config, covers: &[&str]) -> (u64, u64) {
-    let (_, trace) = run_traced(config.clone()).expect("valid config");
+/// after checking that each stream contains every marker in `covers` and
+/// that the run's report satisfies `took_path` (so a digest never silently
+/// pins a run that stopped exercising its probes or its code path).
+fn digests(config: &Config, covers: &[&str], took_path: fn(&RunReport) -> bool) -> (u64, u64) {
+    let (report, trace) = run_traced(config.clone()).expect("valid config");
+    assert!(
+        took_path(&report),
+        "{:?}: the run missed its path: {:?} {:?}",
+        config.algorithm,
+        report.aborts_by_cause,
+        report.fault_stats
+    );
     assert_eq!(trace.dropped, 0, "the trace ring must hold the whole run");
     let mut jsonl = Vec::new();
     trace.write_jsonl(&mut jsonl).expect("in-memory write");
@@ -114,52 +125,131 @@ fn two_pl_barging() -> Config {
     short(c)
 }
 
-/// `(name, config, markers its streams must contain, golden digests)`.
-type Case = (&'static str, Config, &'static [&'static str], (u64, u64));
+/// Crash windows short enough to recur within a short run, with the
+/// retransmission and commit-timeout knobs crashes need.
+fn crashes(c: &mut Config, rate: f64) {
+    c.faults.crash_rate = rate;
+    c.faults.recovery = SimDuration::from_secs_f64(1.0);
+    c.faults.msg_retry = SimDuration::from_millis(50);
+    c.faults.cohort_timeout = SimDuration::from_secs_f64(3.0);
+}
+
+/// 2PL over 3-way read-one/write-all replication with node crashes:
+/// restarts are re-routed through full materialization, and runs that
+/// find a file's replica down abort as replica-unavailable.
+fn rowa3_crashes() -> Config {
+    let mut c = Config::paper(Algorithm::TwoPhaseLocking, 4, 4, 1.0);
+    c.replication = ReplicationParams::rowa(3);
+    crashes(&mut c, 0.05);
+    c.faults.recovery = SimDuration::from_secs_f64(5.0);
+    short(c)
+}
+
+/// Wound-wait over factor-1 replication with node crashes: restarts take
+/// the interned identity route, which only re-checks availability.
+fn rowa1_crashes() -> Config {
+    let mut c = Config::paper(Algorithm::WoundWait, 8, 8, 1.0);
+    c.replication = ReplicationParams::rowa(1);
+    crashes(&mut c, 0.02);
+    short(c)
+}
+
+/// 2PL with sequential cohorts and a buffer pool, under node crashes and
+/// disk stalls.
+fn sequential_stalls() -> Config {
+    let mut c = Config::paper(Algorithm::TwoPhaseLocking, 8, 8, 1.0);
+    c.workload.exec_pattern = ExecPattern::Sequential;
+    c.system.buffer_pages = 64;
+    crashes(&mut c, 0.01);
+    c.faults.disk_stall_rate = 0.2;
+    c.faults.disk_stall = SimDuration::from_millis(200);
+    short(c)
+}
+
+/// `(name, config, markers its streams must contain, path check on the
+/// report, golden digests)`.
+type Case = (
+    &'static str,
+    Config,
+    &'static [&'static str],
+    fn(&RunReport) -> bool,
+    (u64, u64),
+);
 
 #[test]
 fn observation_streams_match_golden() {
-    let cases: [Case; 6] = [
+    let cases: [Case; 9] = [
         (
             "2PL 8x8",
             two_pl(),
             &["lock_wait_begin", "SnoopRequest", "cpu_busy", "disk_busy"],
+            |r| r.aborts_by_cause.deadlock > 0,
             (0x4ce4_d1c1_917a_9aa9, 0x2098_83b7_b476_a90f),
         ),
         (
             "WW crashes+drops",
             ww_faulty(),
             &["NodeCrash", "Wound", "WaitingRestart", "lock_wait_end"],
+            |r| r.fault_stats.crashes > 0,
             (0xf78f_5a79_3e4b_9690, 0xa85d_9d8a_506b_d922),
         ),
         (
             "OPT ROWA-3 lossy",
             opt_rowa3_lossy(),
             &["ok: false", "Install", "AbortingVote", "msg_arrive"],
+            |r| r.aborts_by_cause.validation > 0 && r.fault_stats.msgs_dropped > 0,
             (0x99c1_6600_053a_ea5e, 0xa033_9835_3c83_c85d),
         ),
         (
             "WD hot 4x4",
             wd_hot(),
             &["reply: Rejected", "lock_wait_end"],
+            |r| r.aborts_by_cause.timestamp > 0,
             (0x7c91_a77a_2b1d_c25b, 0x0554_95ad_7471_8bca),
         ),
         (
             "2PL-T 8x8",
             two_pl_timeout(),
             &["AbortRequest", "lock_wait_begin"],
+            |r| r.aborts_by_cause.lock_timeout > 0,
             (0x8ab1_36b4_eb19_b131, 0x53ca_8b4c_7be5_1c11),
         ),
         (
             "2PL barging 8x8",
             two_pl_barging(),
             &["reply: Rejected", "SnoopRequest", "lock_wait_end"],
+            |r| r.aborts_by_cause.deadlock > 0,
             (0x4041_d614_a619_ee30, 0x5505_ca75_b56b_d646),
+        ),
+        (
+            "2PL ROWA-3 crashes",
+            rowa3_crashes(),
+            &["NodeCrash", "WaitingRestart", "Install"],
+            |r| r.fault_stats.crashes > 0 && r.aborts_by_cause.replica_unavailable > 0,
+            (0xf850_abf9_848d_4692, 0x2eb4_d688_b0c5_2181),
+        ),
+        (
+            "WW ROWA-1 crashes",
+            rowa1_crashes(),
+            &["NodeCrash", "WaitingRestart"],
+            |r| r.fault_stats.crashes > 0 && r.aborts_by_cause.replica_unavailable > 0,
+            (0x247a_4e64_212a_9314, 0xaf7b_7e1c_5d34_a986),
+        ),
+        (
+            "2PL sequential crashes+stalls",
+            sequential_stalls(),
+            &["NodeCrash", "SnoopRequest", "disk_busy"],
+            |r| {
+                r.fault_stats.crashes > 0
+                    && r.fault_stats.disk_stalls > 0
+                    && r.buffer_hit_ratio > 0.0
+            },
+            (0x0574_571b_3519_f6f7, 0x7de8_a30a_1779_3201),
         ),
     ];
     let mut mismatches = Vec::new();
-    for (name, config, covers, golden) in cases {
-        let got = digests(&config, covers);
+    for (name, config, covers, took_path, golden) in cases {
+        let got = digests(&config, covers, took_path);
         if got != golden {
             mismatches.push(format!("{name}: got ({:#018x}, {:#018x})", got.0, got.1));
         }
