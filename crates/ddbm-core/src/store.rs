@@ -9,6 +9,7 @@
 //! the number ever created. Only the id table grows with the run, at four
 //! bytes per transaction ever submitted.
 
+use crate::protocol::RunId;
 use crate::txn::TxnRuntime;
 use ddbm_config::TxnId;
 
@@ -75,6 +76,19 @@ impl TxnStore {
     pub fn get_mut(&mut self, id: TxnId) -> Option<&mut TxnRuntime> {
         let slot = self.slot_of(id)?;
         self.slots[slot].as_mut()
+    }
+
+    /// The live transaction `id`, if it is still on run `run` — the guard
+    /// that drops protocol messages and timers a restart has outlived.
+    #[inline]
+    pub(crate) fn live_run(&self, id: TxnId, run: RunId) -> Option<&TxnRuntime> {
+        self.get(id).filter(|t| t.run == run)
+    }
+
+    /// Mutable twin of [`live_run`](Self::live_run).
+    #[inline]
+    pub(crate) fn live_run_mut(&mut self, id: TxnId, run: RunId) -> Option<&mut TxnRuntime> {
+        self.get_mut(id).filter(|t| t.run == run)
     }
 
     /// True when `id` is live.
