@@ -64,36 +64,37 @@ fn calendar(c: &mut Criterion) {
             black_box(sum)
         })
     });
-    // The exact-scheduling pattern: most scheduled completions are
-    // superseded and withdrawn before they fire. Two of every three
-    // keyed events are cancelled and replaced, mimicking the simulator
-    // re-predicting a node's next CPU completion on every state change.
-    c.bench_function("calendar/cancel_heavy", |b| {
+    // The completion-prediction pattern: most predictions are superseded
+    // before they fire. Two of every three operations overwrite a slot in
+    // place, mimicking the simulator re-predicting a node resource's next
+    // completion on every state change; the third delivers the earliest
+    // prediction and re-predicts that slot.
+    c.bench_function("calendar/slot_churn", |b| {
         b.iter(|| {
             let mut cal = EventCalendar::new();
             let mut rng = SimRng::from_seed(3);
-            // One live keyed event per slot, like one pending completion
-            // prediction per simulated node.
-            let mut pending: Vec<_> = (0..256u64)
-                .map(|i| cal.schedule_keyed(SimTime(rng.uniform_u64(1, 1_000)), i))
+            // One pending prediction per slot, like the simulator's CPU and
+            // disk slots on an 8-node machine.
+            let slots: Vec<_> = (0..16u64)
+                .map(|i| {
+                    let slot = cal.register_slot();
+                    cal.set_slot(slot, SimTime(rng.uniform_u64(1, 1_000)), i);
+                    slot
+                })
                 .collect();
             let mut sum = 0u64;
             for i in 0..50_000u64 {
-                if i % 3 == 0 {
-                    // A prediction comes true: fire it, schedule the next.
-                    let (t, e) = cal.pop().expect("kept non-empty");
+                let (k, base) = if i % 3 == 0 {
+                    // A prediction comes true: fire it, predict the next.
+                    let (t, e) = cal.pop().expect("kept full");
                     sum = sum.wrapping_add(e);
-                    let at = t + SimDuration(rng.uniform_u64(1, 1_000));
-                    pending[e as usize] = cal.schedule_keyed(at, e);
+                    (e as usize, t)
                 } else {
-                    // A prediction is superseded: withdraw and replace it.
-                    let k = rng.index(pending.len());
-                    let at = cal.now() + SimDuration(rng.uniform_u64(1, 1_000));
-                    let fresh = cal.schedule_keyed(at, k as u64);
-                    let stale = std::mem::replace(&mut pending[k], fresh);
-                    let withdrawn = cal.cancel(stale);
-                    debug_assert!(withdrawn);
-                }
+                    // A prediction is superseded: overwrite it in place.
+                    (rng.index(slots.len()), cal.now())
+                };
+                let at = base + SimDuration(rng.uniform_u64(1, 1_000));
+                cal.set_slot(slots[k], at, k as u64);
             }
             black_box(sum)
         })

@@ -319,12 +319,12 @@ pub enum DiskJob {
 pub enum Event {
     /// A terminal finished thinking and submits a new transaction.
     TerminalSubmit { terminal: usize },
-    /// A node's CPU reaches its predicted next completion. Scheduled via a
-    /// cancellable calendar token; superseded predictions are withdrawn, so
-    /// every one of these that fires corresponds to real completed work.
+    /// A node's CPU reaches its predicted next completion. Held in the
+    /// node's calendar prediction slot, which a new prediction overwrites,
+    /// so every one of these that fires corresponds to real completed work.
     CpuPoll { node: NodeId },
     /// A node's disk array reaches its predicted next completion (same
-    /// cancel-and-replace scheduling as `CpuPoll`).
+    /// prediction-slot scheduling as `CpuPoll`).
     DiskPoll { node: NodeId },
     /// The restart delay of an aborted transaction expired.
     Restart { txn: TxnId },

@@ -165,6 +165,7 @@ impl Simulator {
         }
     }
 
+    #[inline]
     pub(super) fn start_page_processing(
         &mut self,
         now: SimTime,
@@ -186,6 +187,7 @@ impl Simulator {
         self.cpu_shared(now, node, job, instr);
     }
 
+    #[inline]
     pub(super) fn access_finished(
         &mut self,
         now: SimTime,

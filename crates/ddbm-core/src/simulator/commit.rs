@@ -419,7 +419,7 @@ impl Simulator {
         if !c.settled && !c.lost && c.load_epoch == self.nodes[node.0].epoch {
             c.settled = true;
             if commit {
-                self.install(now, node, id, run, cohort);
+                self.commit_cohort(now, node, id, run, cohort);
             } else {
                 self.release_cc(now, id, run, node, false);
             }
@@ -434,7 +434,14 @@ impl Simulator {
 
     /// Commit `id`'s cohort at `node`: install its writes, release its CC
     /// state, and start the asynchronous write-back of the updated pages.
-    fn install(&mut self, now: SimTime, node: NodeId, id: TxnId, run: RunId, cohort: CohortIdx) {
+    fn commit_cohort(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        id: TxnId,
+        run: RunId,
+        cohort: CohortIdx,
+    ) {
         let txn = self.txns.get(id).expect("decided txn exists");
         // Only the commit path needs the write set; read-only cohorts and
         // aborts build nothing. The list comes from the page-list freelist
@@ -643,9 +650,12 @@ impl Simulator {
                     _ => false,
                 });
                 self.resched(node, Res::Cpu);
-                self.nodes[node.0].disks.cancel_queued_where(
-                    |job| matches!(job, DiskJob::Read { txn: t, run: r, .. } if *t == txn && *r == run),
-                );
+                self.nodes[node.0]
+                    .disks
+                    .cancel_queued_where(|job| match job {
+                        DiskJob::Read { txn: t, run: r, .. } => *t == txn && *r == run,
+                        DiskJob::WriteBack { .. } => false,
+                    });
             }
         }
         let ack = MsgKind::AbortAck { txn, run, cohort };

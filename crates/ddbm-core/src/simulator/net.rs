@@ -32,6 +32,7 @@ impl Simulator {
     /// the model of a reliable transport over a lossy wire) or delay it.
     /// Each message is drawn against at most once; redeliveries skip the
     /// fault draws and go straight to [`deliver_now`](Self::deliver_now).
+    #[inline]
     pub(super) fn deliver(&mut self, now: SimTime, msg: Message) {
         if self.faults_enabled {
             let f = &self.config.faults;

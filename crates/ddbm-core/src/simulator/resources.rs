@@ -113,6 +113,7 @@ impl Simulator {
 
     /// Submit ordinary (processor-shared) CPU work; zero-cost work completes
     /// inline.
+    #[inline]
     pub(super) fn cpu_shared(&mut self, now: SimTime, node: NodeId, job: CpuJob, instr: f64) {
         self.touch_cpu(now, node);
         if let Some(done) = self.nodes[node.0].cpu.submit_shared(now, job, instr) {
@@ -122,6 +123,7 @@ impl Simulator {
     }
 
     /// Queue a page read or write-back on a randomly chosen disk at `node`.
+    #[inline]
     pub(super) fn submit_disk(&mut self, now: SimTime, node: NodeId, job: DiskJob) {
         let lo = self.config.system.min_disk_time.as_secs_f64();
         let hi = self.config.system.max_disk_time.as_secs_f64();

@@ -2,7 +2,7 @@
 //!
 //! The paper's resource manager deliberately does not model buffering
 //! (footnote 6: "modeling buffering in detail would certainly lead to
-//! different absolute results, [but] we do not expect that doing so would
+//! different absolute results, \[but\] we do not expect that doing so would
 //! significantly affect the general conclusions … we plan to verify this
 //! conjecture in the future"). This type lets the simulator run that
 //! verification: with a capacity of zero it is inert and the model is the
@@ -136,16 +136,6 @@ impl<K: Eq + Hash + Clone> LruPool<K> {
         evicted
     }
 
-    /// Hit fraction since construction (or the last `reset_stats`).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Number of lookups that hit.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -202,7 +192,6 @@ mod tests {
         assert_eq!(p.insert(1), None);
         assert!(!p.probe(&1));
         assert_eq!(p.len(), 0);
-        assert_eq!(p.hit_ratio(), 0.0);
     }
 
     #[test]
@@ -211,7 +200,6 @@ mod tests {
         p.insert(1u64);
         assert!(p.probe(&1));
         assert!(!p.probe(&2));
-        assert!((p.hit_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(p.hits(), 1);
         assert_eq!(p.misses(), 1);
     }

@@ -39,9 +39,9 @@
 //!
 //! The model is driven by the owner: every interaction first calls
 //! [`Cpu::advance`] to apply progress up to the current instant, and after
-//! any state change the owner asks [`Cpu::next_completion`] and (re)schedules
-//! a cancellable calendar event for that instant — the completion event is
-//! withdrawn when superseded, so stale completions never fire.
+//! any state change the owner asks [`Cpu::next_completion`] and keeps one
+//! calendar event at that instant in a prediction slot, overwriting it when
+//! the prediction moves, so stale completions never fire.
 
 use denet::{BusyTracker, SimDuration, SimTime, NANOS_PER_SEC};
 use std::collections::VecDeque;
@@ -141,18 +141,6 @@ impl<T> Cpu<T> {
     #[inline]
     pub fn is_current(&self, now: SimTime) -> bool {
         self.last == now
-    }
-
-    /// Number of jobs currently sharing the processor (excludes messages).
-    #[inline]
-    pub fn shared_len(&self) -> usize {
-        self.live
-    }
-
-    /// Number of queued message jobs.
-    #[inline]
-    pub fn message_len(&self) -> usize {
-        self.messages.len()
     }
 
     /// Fraction of time busy since the last utilization reset.

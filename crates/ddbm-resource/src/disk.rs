@@ -10,10 +10,10 @@
 //!
 //! Completion instants are exact: the in-service request stores its absolute
 //! `done_at`, so [`DiskArray::next_completion`] never drifts between calls.
-//! The owner schedules one cancellable calendar event per array at that
-//! instant and withdraws it whenever a new submission changes the prediction
-//! (a queued request can only *extend* the schedule; an earlier completion
-//! can only appear when an idle disk accepts work).
+//! The owner keeps one calendar event per array at that instant in a
+//! prediction slot and overwrites it whenever a new submission changes the
+//! prediction (a queued request can only *extend* the schedule; an earlier
+//! completion can only appear when an idle disk accepts work).
 
 use denet::{BusyTracker, SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -298,11 +298,6 @@ impl<T> DiskArray<T> {
             d.reset_utilization(now);
         }
     }
-
-    /// `total_queue_len`.
-    pub fn total_queue_len(&self) -> usize {
-        self.disks.iter().map(Disk::queue_len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -423,21 +418,5 @@ mod tests {
         a.advance(SimTime(10 * MS));
         a.reset_utilization(SimTime(10 * MS));
         assert_eq!(a.mean_utilization(SimTime(20 * MS)), 0.0);
-    }
-
-    #[test]
-    fn queue_lengths() {
-        let mut a: DiskArray<u32> = DiskArray::new(2);
-        for i in 0..6 {
-            a.submit(
-                SimTime::ZERO,
-                0,
-                i,
-                i % 2 == 0,
-                SimDuration::from_millis(10),
-            );
-        }
-        // One in service, five queued on disk 0.
-        assert_eq!(a.total_queue_len(), 5);
     }
 }

@@ -1,5 +1,5 @@
-//! The event calendar: a priority queue of future events, with token-based
-//! cancellation.
+//! The event calendar: a priority queue of future events, with prediction
+//! slots for events that are replaced while pending.
 //!
 //! Events scheduled for the same instant are delivered in the order they were
 //! scheduled (FIFO tie-breaking via a monotone sequence number), which makes
@@ -45,20 +45,6 @@
 //! and lost ~7% at this arity — with the depth already halved, the saved
 //! "done yet?" compares do not cover the extra leaf-to-position walk.
 //!
-//! # Cancellation
-//!
-//! [`schedule_keyed`](EventCalendar::schedule_keyed) returns an
-//! [`EventToken`]; [`cancel`](EventCalendar::cancel) withdraws the event so
-//! it never fires. Cancellation is *lazy*: the entry stays in the heap and
-//! its sequence number is recorded in a small tombstone set that pops consult
-//! on the way out — O(1) per cancel, no heap restructuring. [`pop`]
-//! (EventCalendar::pop) and [`peek_time`](EventCalendar::peek_time) discard
-//! tombstoned entries as they surface, and [`len`](EventCalendar::len) /
-//! [`is_empty`](EventCalendar::is_empty) count only live events, so
-//! cancelled events are never observable. This is what lets the simulator
-//! withdraw a superseded completion prediction outright instead of letting
-//! the event fire and filtering it at the handler.
-//!
 //! # Same-instant fast lane
 //!
 //! Zero-delay events ([`schedule_now`](EventCalendar::schedule_now), and
@@ -66,9 +52,9 @@
 //! the heap entirely: they are appended to a FIFO microqueue keyed with the
 //! same packed `(time, seq)` key a heap push would have assigned. Because
 //! both `now` and `seq` are monotone, the microqueue's keys are strictly
-//! increasing, so its front is always its minimum and [`pop`]
-//! (EventCalendar::pop) only ever compares the front key against the other
-//! sources. Delivery order is *provably identical* to routing the same
+//! increasing, so its front is always its minimum and
+//! [`pop`](EventCalendar::pop) only ever compares the front key against the
+//! other sources. Delivery order is *provably identical* to routing the same
 //! events through the heap: every event still receives the globally unique
 //! packed key it would have received from `push`, and `pop` always delivers
 //! the minimum key across all sources — only the container holding the
@@ -79,36 +65,27 @@
 //!
 //! The simulator's dominant calendar traffic is *completion predictions*:
 //! one pending "next CPU/disk completion" event per node resource,
-//! re-predicted on almost every state change. Routed through the heap this
-//! costs a keyed push, a lazy cancel (tombstone) and a pop-discard per
-//! superseded prediction — historically ~25–30% of all scheduled events
-//! were cancelled tombstones. A [`register_slot`]
-//! (EventCalendar::register_slot) slot holds at most one pending event in a
-//! flat array instead: [`set_slot`](EventCalendar::set_slot) overwrites in
-//! place (an O(1) store, superseding needs no tombstone) and `pop` finds the
-//! earliest slot with a linear scan over a dense key array — a handful of
-//! cache lines for the simulator's ~2 slots/node, cheaper than the sift
-//! traffic it replaces.
+//! re-predicted on almost every state change. A
+//! [`register_slot`](EventCalendar::register_slot) slot holds at most one
+//! pending event in a flat array: [`set_slot`](EventCalendar::set_slot)
+//! overwrites it in place (an O(1) store; the superseded event is simply
+//! dropped), [`clear_slot`](EventCalendar::clear_slot) withdraws it, and
+//! `pop` finds the earliest slot with a linear scan over a dense key array
+//! — a handful of cache lines for the simulator's two slots per node,
+//! cheaper than heap sift traffic per superseded prediction.
 //!
 //! **Determinism:** `set_slot` assigns `seq = next_seq++` exactly as a heap
-//! push does, and the cancel+reschedule pattern it replaces consumed one seq
-//! per *changed* prediction and zero per kept or withdrawn one — precisely
-//! the seq consumption of calling `set_slot` only when the prediction
-//! changes. A simulator switched from cancel+reschedule to slots therefore
-//! evolves an identical `next_seq`, assigns every event the identical packed
-//! key, and (since `pop` delivers the global key minimum regardless of the
-//! source container) produces a bit-identical pop sequence. The golden
-//! `RunReport`s did not move when the simulator switched; the equivalence is
-//! also pinned by `slots_match_cancel_reschedule_reference` below and by the
-//! proptest suite in `tests/prop.rs`.
+//! push does, and `clear_slot` consumes no sequence number, so a slot event
+//! carries the same globally unique packed key as any other event
+//! scheduled at that point, and `pop` delivers it in the same total order.
+//! The proptest suite in `tests/prop.rs` pins this against a naive
+//! scan-the-vector model.
 //!
 //! All backing storage retains its capacity across pops, so a warmed-up
 //! calendar schedules without allocating.
 
-use crate::fxhash::FxHashSet;
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::mem::ManuallyDrop;
 use std::ptr;
 
@@ -124,29 +101,6 @@ fn unpack_time(key: u128) -> SimTime {
 }
 
 const ARITY: usize = 4;
-
-/// Handle to a pending event scheduled with
-/// [`schedule_keyed`](EventCalendar::schedule_keyed), redeemable once with
-/// [`cancel`](EventCalendar::cancel).
-///
-/// A token identifies exactly one scheduling (the sequence number inside is
-/// never reused), so cancelling it can never hit a different event. The
-/// contract is that a token is dead once its event has been **delivered** by
-/// `pop`; cancelling a delivered token is a caller bug (callers that hold
-/// tokens must clear them when the event fires). `cancel` rejects the easy
-/// case of a token whose timestamp is already in the past.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventToken {
-    key: u128,
-}
-
-impl EventToken {
-    /// The instant this token's event is scheduled to fire.
-    #[inline]
-    pub fn time(self) -> SimTime {
-        unpack_time(self.key)
-    }
-}
 
 /// One heap entry: packed key plus the payload, stored inline.
 struct Entry<E> {
@@ -180,24 +134,17 @@ enum Source {
 /// let mut cal = EventCalendar::new();
 /// cal.schedule(SimTime(20), "late");
 /// cal.schedule(SimTime(10), "early");
-/// let doomed = cal.schedule_keyed(SimTime(15), "cancelled");
-/// assert!(cal.cancel(doomed));
+/// let slot = cal.register_slot();
+/// cal.set_slot(slot, SimTime(30), "superseded");
+/// cal.set_slot(slot, SimTime(15), "predicted");
 /// assert_eq!(cal.pop(), Some((SimTime(10), "early")));
+/// assert_eq!(cal.pop(), Some((SimTime(15), "predicted")));
 /// assert_eq!(cal.pop(), Some((SimTime(20), "late")));
 /// assert_eq!(cal.pop(), None);
 /// ```
 pub struct EventCalendar<E> {
     /// 4-ary min-heap of inline entries, rooted at index 0.
     heap: Vec<Entry<E>>,
-    /// Sequence numbers of cancelled-but-not-yet-removed entries. Seqs are
-    /// globally unique, so the low 64 bits of a key identify an entry.
-    cancelled: FxHashSet<u64>,
-    /// Min-heap mirror of `cancelled` holding full keys. Every tombstoned
-    /// key still sits in the main heap, so when the popped root is a
-    /// tombstone it is necessarily the *minimum* tombstoned key — pop can
-    /// detect tombstones with one u128 compare against this heap's root
-    /// instead of a hash probe per delivered event.
-    cancelled_keys: BinaryHeap<Reverse<u128>>,
     /// Same-instant fast lane: zero-delay events, keyed exactly as a heap
     /// push would key them. Keys are strictly increasing front to back
     /// (monotone `now`, monotone `seq`), so the front is the lane minimum.
@@ -225,12 +172,6 @@ impl<E> EventCalendar<E> {
     pub fn new() -> Self {
         EventCalendar {
             heap: Vec::new(),
-            // Tombstones churn (insert on cancel, remove when the entry
-            // surfaces), and hashbrown clears accumulated delete markers by
-            // rehashing in place once the table fills. A roomy table makes
-            // those cleanups ~20x rarer at a cost of a few KiB.
-            cancelled: FxHashSet::with_capacity_and_hasher(1024, Default::default()),
-            cancelled_keys: BinaryHeap::new(),
             fast: VecDeque::new(),
             slot_keys: Vec::new(),
             slot_events: Vec::new(),
@@ -300,10 +241,9 @@ impl<E> EventCalendar<E> {
     }
 
     /// Set `slot`'s pending event, replacing (and dropping) any previous
-    /// one. Consumes one sequence number, exactly like
-    /// [`schedule_keyed`](Self::schedule_keyed) — callers switching a
-    /// cancel+reschedule pattern to `set_slot` keep an identical `next_seq`
-    /// evolution and therefore identical delivery order (see module docs).
+    /// one. Consumes one sequence number, exactly like a
+    /// [`schedule`](Self::schedule), so the event keeps its place in the
+    /// FIFO order of its instant (see module docs).
     #[inline]
     pub fn set_slot(&mut self, slot: SlotId, time: SimTime, event: E) {
         debug_assert!(
@@ -321,8 +261,7 @@ impl<E> EventCalendar<E> {
         self.slot_events[i] = Some(event);
     }
 
-    /// Withdraw `slot`'s pending event, if any. Consumes no sequence number
-    /// (the counterpart of `cancel`, which also consumes none).
+    /// Withdraw `slot`'s pending event, if any. Consumes no sequence number.
     #[inline]
     pub fn clear_slot(&mut self, slot: SlotId) {
         let i = slot.0 as usize;
@@ -341,62 +280,24 @@ impl<E> EventCalendar<E> {
         (key != VACANT).then(|| unpack_time(key))
     }
 
-    /// Schedule `event` at `time` and return a token that can later
-    /// [`cancel`](Self::cancel) it. Ordering and determinism are identical to
-    /// [`schedule`](Self::schedule); only the ability to withdraw differs.
-    pub fn schedule_keyed(&mut self, time: SimTime, event: E) -> EventToken {
-        assert!(
-            time >= self.now,
-            "attempt to schedule an event at {time} before the current clock {now}",
-            now = self.now
-        );
-        EventToken {
-            key: self.push(time, event),
-        }
-    }
-
-    /// Withdraw a pending event: it will never be delivered by `pop`.
-    ///
-    /// Returns `true` if the event was withdrawn. Returns `false` (and does
-    /// nothing) for a token whose timestamp is already behind the clock —
-    /// its event has necessarily been delivered. Cancelling the same token
-    /// twice is also a no-op returning `false`.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        if unpack_time(token.key) < self.now {
-            return false;
-        }
-        debug_assert!(
-            self.heap.iter().any(|e| e.key == token.key),
-            "cancel() of a token whose event was already delivered"
-        );
-        if self.cancelled.insert(token.key as u64) {
-            self.cancelled_keys.push(Reverse(token.key));
-            true
-        } else {
-            false
-        }
-    }
-
     #[inline]
-    fn push(&mut self, time: SimTime, event: E) -> u128 {
+    fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = pack(time, seq);
         self.heap.push(Entry { key, event });
         // SAFETY: the entry was just pushed, so `len - 1` is in bounds.
         unsafe { self.sift_up(self.heap.len() - 1) };
-        key
     }
 
-    /// Remove and return the earliest live event — the minimum packed key
-    /// across the heap, the same-instant fast lane, and the prediction
-    /// slots — advancing the clock to its time. Tombstoned (cancelled) heap
-    /// entries are discarded on the way.
+    /// Remove and return the earliest event — the minimum packed key across
+    /// the heap, the same-instant fast lane, and the prediction slots —
+    /// advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         // Candidate per source; packed keys are globally unique, so the
         // minimum is unambiguous and the merged order equals the order a
         // single heap holding every event would produce.
-        let mut best = self.live_root_key().map(|k| (k, Source::Heap));
+        let mut best = self.heap.first().map(|e| (e.key, Source::Heap));
         if let Some(&(k, _)) = self.fast.front() {
             if best.is_none_or(|(bk, _)| k < bk) {
                 best = Some((k, Source::Fast));
@@ -417,7 +318,7 @@ impl<E> EventCalendar<E> {
         }
         let (key, source) = best?;
         let event = match source {
-            Source::Heap => self.pop_top().expect("live root exists").event,
+            Source::Heap => self.pop_top().expect("root exists").event,
             Source::Fast => self.fast.pop_front().expect("front exists").1,
             Source::Slot(i) => {
                 self.slot_keys[i] = VACANT;
@@ -431,28 +332,7 @@ impl<E> EventCalendar<E> {
         Some((time, event))
     }
 
-    /// The key of the earliest live heap entry, sweeping tombstoned roots
-    /// out of the heap on the way.
-    #[inline]
-    fn live_root_key(&mut self) -> Option<u128> {
-        while let Some(root) = self.heap.first() {
-            // One u128 compare decides liveness: the root is the heap
-            // minimum, so if it is tombstoned it must be the smallest
-            // tombstoned key (see `cancelled_keys`).
-            if let Some(&Reverse(min)) = self.cancelled_keys.peek() {
-                if root.key == min {
-                    self.cancelled_keys.pop();
-                    self.cancelled.remove(&(root.key as u64));
-                    self.pop_top();
-                    continue;
-                }
-            }
-            return Some(root.key);
-        }
-        None
-    }
-
-    /// Remove the root entry (live or not), restoring the heap property.
+    /// Remove the root entry, restoring the heap property.
     fn pop_top(&mut self) -> Option<Entry<E>> {
         let last = self.heap.pop()?;
         if self.heap.is_empty() {
@@ -468,42 +348,16 @@ impl<E> EventCalendar<E> {
         }
     }
 
-    /// The timestamp of the next live event, if any, without popping it.
-    /// Takes `&mut self` because tombstoned entries at the root are swept
-    /// out of the way first.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let mut best = self.live_root_key();
-        if let Some(&(k, _)) = self.fast.front() {
-            if best.is_none_or(|bk| k < bk) {
-                best = Some(k);
-            }
-        }
-        if self.slots_live > 0 {
-            for &k in &self.slot_keys {
-                if best.map_or(k != VACANT, |bk| k < bk) {
-                    best = Some(k);
-                }
-            }
-        }
-        best.map(unpack_time)
-    }
-
     #[inline]
-    /// Number of live (non-cancelled) entries.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len() + self.fast.len() + self.slots_live
+        self.heap.len() + self.fast.len() + self.slots_live
     }
 
     #[inline]
-    /// True when there are no live entries.
+    /// True when no event is pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total number of events ever scheduled (a cheap progress gauge).
-    #[inline]
-    pub fn scheduled_count(&self) -> u64 {
-        self.next_seq
     }
 
     /// Restore the heap property for the entry at `i` by walking it toward
@@ -688,15 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_advance() {
-        let mut cal = EventCalendar::new();
-        cal.schedule(SimTime(7), ());
-        assert_eq!(cal.peek_time(), Some(SimTime(7)));
-        assert_eq!(cal.now(), SimTime::ZERO);
-        assert_eq!(cal.len(), 1);
-    }
-
-    #[test]
     fn interleaved_schedule_and_pop() {
         let mut cal = EventCalendar::new();
         cal.schedule(SimTime(10), "a");
@@ -725,63 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_never_fire() {
-        let mut cal = EventCalendar::new();
-        cal.schedule(SimTime(10), 1);
-        let tok = cal.schedule_keyed(SimTime(20), 2);
-        cal.schedule(SimTime(30), 3);
-        assert!(cal.cancel(tok));
-        assert_eq!(cal.len(), 2);
-        assert_eq!(cal.pop(), Some((SimTime(10), 1)));
-        assert_eq!(cal.pop(), Some((SimTime(30), 3)));
-        assert_eq!(cal.pop(), None);
-    }
-
-    #[test]
-    fn cancel_is_idempotent_and_rejects_fired_tokens() {
-        let mut cal = EventCalendar::new();
-        let tok = cal.schedule_keyed(SimTime(5), "x");
-        assert!(cal.cancel(tok));
-        assert!(!cal.cancel(tok), "second cancel must be a no-op");
-        let tok2 = cal.schedule_keyed(SimTime(7), "y");
-        assert_eq!(cal.pop(), Some((SimTime(7), "y")));
-        cal.schedule(SimTime(9), "z");
-        assert_eq!(cal.pop(), Some((SimTime(9), "z")));
-        // tok2's event fired and the clock moved past it: cancel refuses.
-        assert!(!cal.cancel(tok2));
-    }
-
-    #[test]
-    fn cancel_keeps_peek_and_len_exact() {
-        let mut cal = EventCalendar::new();
-        let t1 = cal.schedule_keyed(SimTime(10), 1);
-        let t2 = cal.schedule_keyed(SimTime(20), 2);
-        cal.schedule(SimTime(30), 3);
-        // Cancel the root: peek must immediately show the next live event.
-        assert!(cal.cancel(t1));
-        assert_eq!(cal.peek_time(), Some(SimTime(20)));
-        assert_eq!(cal.len(), 2);
-        // Cancel a buried entry, then pop down to it: it must be skipped.
-        assert!(cal.cancel(t2));
-        assert_eq!(cal.peek_time(), Some(SimTime(30)));
-        assert_eq!(cal.len(), 1);
-        assert_eq!(cal.pop(), Some((SimTime(30), 3)));
-        assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn cancel_at_current_instant_works() {
-        let mut cal = EventCalendar::new();
-        cal.schedule(SimTime(10), 1);
-        let tok = cal.schedule_keyed(SimTime(10), 2);
-        assert_eq!(cal.pop(), Some((SimTime(10), 1)));
-        // The clock is now exactly at the token's time and its event is still
-        // pending: cancellation must succeed.
-        assert!(cal.cancel(tok));
-        assert_eq!(cal.pop(), None);
-    }
-
-    #[test]
     fn storage_capacity_is_stable_under_churn() {
         let mut cal = EventCalendar::new();
         for i in 0..8u64 {
@@ -800,30 +588,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn cancel_churn_does_not_accumulate_tombstones() {
-        let mut cal = EventCalendar::new();
-        let mut tok = cal.schedule_keyed(SimTime(1), 0u64);
-        for i in 1..10_000u64 {
-            // Supersede-style churn: cancel the pending prediction, schedule
-            // the corrected one, deliver it, predict the next.
-            assert!(cal.cancel(tok));
-            cal.schedule(SimTime(i), i);
-            let (t, e) = cal.pop().unwrap();
-            assert_eq!((t, e), (SimTime(i), i));
-            tok = cal.schedule_keyed(SimTime(i + 1), i);
-        }
-        assert!(
-            cal.cancelled.len() <= 1,
-            "tombstones accumulated: {}",
-            cal.cancelled.len()
-        );
-    }
-
-    /// The inline heap must pop in exactly the order the old
-    /// `BinaryHeap<(time, seq)>` implementation did: ascending packed key.
-    /// Simulation determinism (bit-identical `RunReport`s across the swap)
-    /// rides on this property.
     #[test]
     fn pop_order_matches_reference_sort_under_churn() {
         let mut rng = crate::SimRng::from_seed(0xCA1E_0DA2);
@@ -935,7 +699,6 @@ mod tests {
         cal.schedule(SimTime(10), 1); // seq 0
         cal.set_slot(s, SimTime(10), 2); // seq 1
         cal.schedule(SimTime(10), 3); // seq 2
-        assert_eq!(cal.peek_time(), Some(SimTime(10)));
         assert_eq!(cal.pop(), Some((SimTime(10), 1)));
         cal.schedule_now(4); // seq 3
         assert_eq!(cal.pop(), Some((SimTime(10), 2)));
@@ -944,72 +707,15 @@ mod tests {
         assert_eq!(cal.pop(), None);
     }
 
-    /// The seq-parity equivalence the simulator's switch to slots rides on:
-    /// a cancel+reschedule prediction pattern and the slot version of the
-    /// same decisions produce bit-identical pop sequences.
-    #[test]
-    fn slots_match_cancel_reschedule_reference() {
-        let mut rng = crate::SimRng::from_seed(0x5107);
-        let mut reference = EventCalendar::new();
-        let mut subject = EventCalendar::new();
-        let slots: Vec<SlotId> = (0..4).map(|_| subject.register_slot()).collect();
-        let mut tokens: Vec<Option<EventToken>> = vec![None; 4];
-        for i in 0..10_000u64 {
-            match rng.uniform_u64(0, 3) {
-                0 => {
-                    // Re-predict resource k's completion (supersede if set).
-                    let k = rng.index(4);
-                    let at = reference.now() + SimDuration(rng.uniform_u64(0, 40));
-                    if let Some(tok) = tokens[k].take() {
-                        reference.cancel(tok);
-                    }
-                    tokens[k] = Some(reference.schedule_keyed(at, k as u64));
-                    subject.set_slot(slots[k], at, k as u64);
-                }
-                1 => {
-                    // Withdraw resource k's prediction.
-                    let k = rng.index(4);
-                    if let Some(tok) = tokens[k].take() {
-                        reference.cancel(tok);
-                    }
-                    subject.clear_slot(slots[k]);
-                }
-                2 => {
-                    // Ordinary one-shot event traffic.
-                    let d = SimDuration(rng.uniform_u64(0, 40));
-                    reference.schedule(reference.now() + d, 100 + i);
-                    subject.schedule_after(d, 100 + i);
-                }
-                _ => {
-                    let got = subject.pop();
-                    assert_eq!(reference.pop(), got);
-                    assert_eq!(reference.len(), subject.len());
-                    // A delivered prediction's token is spent.
-                    if let Some((_, e)) = got {
-                        if e < 4 {
-                            tokens[e as usize] = None;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Payloads with heap allocations must be dropped exactly once through
-    /// the unsafe hole sifts and lazy cancellation.
+    /// the unsafe hole sifts and slot overwrites.
     #[test]
     fn owning_payloads_are_not_leaked_or_double_dropped() {
         use std::rc::Rc;
         let counter = Rc::new(());
         let mut cal = EventCalendar::new();
-        let mut toks = Vec::new();
         for i in 0..100u64 {
-            toks.push(cal.schedule_keyed(SimTime(i % 13), Rc::clone(&counter)));
-        }
-        for (i, t) in toks.iter().enumerate() {
-            if i % 3 == 0 {
-                assert!(cal.cancel(*t));
-            }
+            cal.schedule(SimTime(i % 13), Rc::clone(&counter));
         }
         // Fast-lane and slot payloads must obey the same single-drop rule,
         // including undelivered ones dropped with the calendar.
@@ -1028,7 +734,7 @@ mod tests {
         while cal.pop().is_some() {
             delivered += 1;
         }
-        assert_eq!(delivered, 100 - 34 + 3 + 1);
+        assert_eq!(delivered, 100 + 3 + 1);
         drop(cal);
         assert_eq!(Rc::strong_count(&counter), 1, "payloads leaked");
     }

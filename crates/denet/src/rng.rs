@@ -143,18 +143,9 @@ impl SimRng {
         }
     }
 
-    /// Sample `k` distinct values from `[0, n)` (simple partial
-    /// Fisher–Yates; `k <= n`). Returned in selection order.
-    pub fn sample_distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.sample_distinct_into(n, k, &mut out);
-        out
-    }
-
-    /// [`sample_distinct`](Self::sample_distinct) into a caller-owned
-    /// buffer (cleared first), so hot callers that sample repeatedly do not
-    /// allocate. Draws the identical RNG sequence and produces the
-    /// identical values.
+    /// Sample `k` distinct values from `[0, n)` (`k <= n`) into a
+    /// caller-owned buffer (cleared first), in selection order, so hot
+    /// callers that sample repeatedly do not allocate.
     pub fn sample_distinct_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} distinct values from {n}");
         out.clear();
@@ -191,22 +182,6 @@ impl SimRng {
             let vi = value_at(&displaced[..i], i);
             displaced[i] = (j, vi);
         }
-    }
-
-    /// Choose an index according to a discrete probability vector.
-    ///
-    /// `probs` need not be normalized; only ratios matter.
-    pub fn weighted_index(&mut self, probs: &[f64]) -> usize {
-        let total: f64 = probs.iter().sum();
-        assert!(total > 0.0, "weighted_index needs a positive total weight");
-        let mut x = self.unit_f64() * total;
-        for (i, p) in probs.iter().enumerate() {
-            if x < *p {
-                return i;
-            }
-            x -= *p;
-        }
-        probs.len() - 1
     }
 }
 
@@ -316,46 +291,22 @@ mod tests {
     #[test]
     fn sample_distinct_is_distinct_and_in_range() {
         let mut r = SimRng::from_seed(11);
-        for _ in 0..100 {
-            let mut s = r.sample_distinct(20, 8);
-            assert_eq!(s.len(), 8);
-            assert!(s.iter().all(|&x| x < 20));
-            s.sort_unstable();
-            s.dedup();
-            assert_eq!(s.len(), 8);
-        }
-        // k == n returns a permutation.
-        let mut s = r.sample_distinct(5, 5);
-        s.sort_unstable();
-        assert_eq!(s, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn sample_distinct_into_matches_and_reuses_buffer() {
-        let mut a = SimRng::from_seed(29);
-        let mut b = SimRng::from_seed(29);
-        let mut buf = Vec::new();
+        let mut s = Vec::new();
         // Cover both the stack-scratch path (k <= 32) and the heap fallback.
         for k in [0usize, 1, 8, 31, 33, 64] {
-            let v = a.sample_distinct(100, k);
-            b.sample_distinct_into(100, k, &mut buf);
-            assert_eq!(v, buf, "k = {k}");
+            r.sample_distinct_into(100, k, &mut s);
+            assert_eq!(s.len(), k);
+            assert!(s.iter().all(|&x| x < 100));
+            s.sort_unstable();
+            s.dedup();
+            assert_eq!(s.len(), k, "k = {k}");
         }
-        let cap = buf.capacity();
-        b.sample_distinct_into(100, 8, &mut buf);
-        assert_eq!(buf.capacity(), cap, "reused buffer must not reallocate");
-    }
-
-    #[test]
-    fn weighted_index_follows_weights() {
-        let mut r = SimRng::from_seed(13);
-        let w = [1.0, 0.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[r.weighted_index(&w)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
+        // k == n returns a permutation.
+        r.sample_distinct_into(5, 5, &mut s);
+        s.sort_unstable();
+        assert_eq!(s, vec![0, 1, 2, 3, 4]);
+        let cap = s.capacity();
+        r.sample_distinct_into(100, 8, &mut s);
+        assert_eq!(s.capacity(), cap, "reused buffer must not reallocate");
     }
 }

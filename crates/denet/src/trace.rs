@@ -69,12 +69,6 @@ impl<E> TraceRing<E> {
         self.slots.rotate_left(self.head);
         (self.slots, self.dropped)
     }
-
-    /// Iterate retained events in chronological (recording) order.
-    pub fn iter_ordered(&self) -> impl Iterator<Item = &(SimTime, E)> {
-        let (newer, older) = self.slots.split_at(self.head);
-        older.iter().chain(newer.iter())
-    }
 }
 
 #[cfg(test)]
@@ -89,12 +83,12 @@ mod tests {
         }
         assert_eq!(r.len(), 4);
         assert_eq!(r.dropped(), 2);
-        let ordered: Vec<u64> = r.iter_ordered().map(|&(_, e)| e).collect();
-        assert_eq!(ordered, vec![2, 3, 4, 5]);
         let (events, dropped) = r.into_ordered();
         assert_eq!(dropped, 2);
         let times: Vec<u64> = events.iter().map(|&(t, _)| t.0).collect();
         assert_eq!(times, vec![2, 3, 4, 5]);
+        let payloads: Vec<u64> = events.iter().map(|&(_, e)| e).collect();
+        assert_eq!(payloads, vec![2, 3, 4, 5]);
     }
 
     #[test]
@@ -118,6 +112,6 @@ mod tests {
         r.push(SimTime(2), "b");
         assert_eq!(r.len(), 1);
         assert_eq!(r.dropped(), 1);
-        assert_eq!(r.iter_ordered().next().unwrap().1, "b");
+        assert_eq!(r.into_ordered().0[0].1, "b");
     }
 }

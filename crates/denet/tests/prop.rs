@@ -1,33 +1,40 @@
 //! Property-based tests for the simulation engine.
 
-use denet::{
-    EventCalendar, EventToken, LogHistogram, SimDuration, SimRng, SimTime, Tally, TimeWeighted,
-};
+use denet::{EventCalendar, LogHistogram, SimDuration, SimRng, SimTime, Tally};
 use proptest::prelude::*;
 
 /// One step of a calendar/reference interleaving. Delays are relative to the
 /// calendar's current clock so generated schedules are always legal (never
 /// in the past); the tiny delay range forces heavy time collisions, which
-/// exercises the FIFO tie-break.
+/// exercises the FIFO tie-break across the heap, the same-instant fast lane
+/// and the prediction slots.
 #[derive(Debug, Clone)]
 enum CalOp {
-    /// Plain `schedule` at `now + delay` µs.
+    /// `schedule` at `now + delay` µs (always through the heap).
     Schedule(u64),
-    /// `schedule_keyed` at `now + delay` µs, retaining the token.
-    ScheduleKeyed(u64),
-    /// Cancel the pending token at `index % pending.len()` (no-op when no
-    /// tokens are pending).
-    Cancel(usize),
+    /// `schedule_after(delay)` µs; a zero delay takes the fast lane.
+    After(u64),
+    /// `schedule_now`.
+    Now,
+    /// `set_slot(k, now + delay)` µs, superseding any pending prediction.
+    SetSlot(usize, u64),
+    /// `clear_slot(k)`.
+    ClearSlot(usize),
     /// Pop once from both structures and compare.
     Pop,
 }
 
+/// Prediction slots registered on the calendar under test.
+const SLOTS: usize = 4;
+
 fn cal_op_strategy() -> impl Strategy<Value = CalOp> {
     prop_oneof![
-        3 => (0u64..50).prop_map(CalOp::Schedule),
-        3 => (0u64..50).prop_map(CalOp::ScheduleKeyed),
-        2 => (0usize..1024).prop_map(CalOp::Cancel),
-        3 => Just(CalOp::Pop),
+        2 => (0u64..50).prop_map(CalOp::Schedule),
+        3 => (0u64..30).prop_map(CalOp::After),
+        2 => Just(CalOp::Now),
+        3 => ((0..SLOTS), (0u64..30)).prop_map(|(k, d)| CalOp::SetSlot(k, d)),
+        1 => (0..SLOTS).prop_map(CalOp::ClearSlot),
+        4 => Just(CalOp::Pop),
     ]
 }
 
@@ -105,36 +112,13 @@ proptest! {
         prop_assert!((a.variance() - whole.variance()).abs() < 1e-6 * (1.0 + whole.variance()));
     }
 
-    /// Time-weighted average equals the hand-computed piecewise integral.
-    #[test]
-    fn time_weighted_matches_integral(
-        steps in prop::collection::vec((1u64..1_000_000, 0f64..100.0), 1..50),
-    ) {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        let mut now = 0u64;
-        let mut integral = 0.0;
-        let mut value = 0.0;
-        for (dt, v) in &steps {
-            integral += value * (*dt as f64 / 1e9);
-            now += dt;
-            tw.set(SimTime(now), *v);
-            value = *v;
-        }
-        // Extend one more step so the last value contributes.
-        integral += value * 1.0;
-        now += 1_000_000_000;
-        let avg = tw.average(SimTime(now));
-        let expect = integral / (now as f64 / 1e9);
-        prop_assert!((avg - expect).abs() < 1e-9 + 1e-9 * expect.abs(),
-            "avg {avg} expect {expect}");
-    }
-
     /// Distinct sampling returns exactly k distinct in-range values.
     #[test]
     fn sample_distinct_properties(seed in any::<u64>(), n in 1usize..500, k_frac in 0f64..=1.0) {
         let k = ((n as f64) * k_frac) as usize;
         let mut rng = SimRng::from_seed(seed);
-        let mut s = rng.sample_distinct(n, k);
+        let mut s = Vec::new();
+        rng.sample_distinct_into(n, k, &mut s);
         prop_assert_eq!(s.len(), k);
         prop_assert!(s.iter().all(|&x| x < n));
         s.sort_unstable();
@@ -151,194 +135,88 @@ proptest! {
             prop_assert!(x.is_finite() && x >= 0.0);
         }
     }
+}
 
-    /// Model test: under arbitrary interleavings of `schedule`,
-    /// `schedule_keyed`, `cancel`, and `pop`, the calendar must behave
-    /// exactly like the naive scan-the-vector reference — time order, FIFO
-    /// within an instant, cancelled events suppressed, and `len()` counting
-    /// live events exactly.
+proptest! {
+    /// Model test: under arbitrary interleavings of every way to schedule
+    /// (heap, fast lane, prediction slots), slot overwrites and clears, and
+    /// pops, the calendar behaves exactly like the naive scan-the-vector
+    /// reference — time order, FIFO by scheduling order within an instant,
+    /// superseded and cleared predictions never delivered, and `len()`
+    /// counting pending events exactly.
     #[test]
-    fn calendar_matches_sorted_vec_reference(
-        ops in prop::collection::vec(cal_op_strategy(), 1..200),
+    fn calendar_matches_naive_reference(
+        ops in prop::collection::vec(cal_op_strategy(), 1..300),
     ) {
         let mut cal: EventCalendar<u64> = EventCalendar::new();
+        let slots: Vec<_> = (0..SLOTS).map(|_| cal.register_slot()).collect();
         let mut reference: Vec<RefEntry> = Vec::new();
-        // Tokens whose events have neither fired nor been cancelled, with
-        // the arrival id they were scheduled under.
-        let mut pending: Vec<(EventToken, u64)> = Vec::new();
+        // The arrival id of each slot's pending prediction, if any.
+        let mut slot_ids: Vec<Option<u64>> = vec![None; SLOTS];
         let mut arrivals: u64 = 0;
 
         for op in ops {
-            match op {
+            let now = cal.now();
+            let at = match op {
                 CalOp::Schedule(delay_us) => {
-                    let at = cal.now() + SimDuration::from_micros(delay_us);
+                    let at = now + SimDuration::from_micros(delay_us);
                     cal.schedule(at, arrivals);
-                    reference.push(RefEntry { time: at, arrival: arrivals });
-                    arrivals += 1;
+                    Some(at)
                 }
-                CalOp::ScheduleKeyed(delay_us) => {
-                    let at = cal.now() + SimDuration::from_micros(delay_us);
-                    let tok = cal.schedule_keyed(at, arrivals);
-                    pending.push((tok, arrivals));
-                    reference.push(RefEntry { time: at, arrival: arrivals });
-                    arrivals += 1;
+                CalOp::After(delay_us) => {
+                    cal.schedule_after(SimDuration::from_micros(delay_us), arrivals);
+                    Some(now + SimDuration::from_micros(delay_us))
                 }
-                CalOp::Cancel(index) => {
-                    if pending.is_empty() {
-                        continue;
+                CalOp::Now => {
+                    cal.schedule_now(arrivals);
+                    Some(now)
+                }
+                CalOp::SetSlot(k, delay_us) => {
+                    let at = now + SimDuration::from_micros(delay_us);
+                    cal.set_slot(slots[k], at, arrivals);
+                    if let Some(old) = slot_ids[k].replace(arrivals) {
+                        reference.retain(|e| e.arrival != old);
                     }
-                    let (tok, id) = pending.swap_remove(index % pending.len());
-                    prop_assert!(cal.cancel(tok), "live token must cancel");
-                    let pos = reference
-                        .iter()
-                        .position(|e| e.arrival == id)
-                        .expect("pending token implies a reference entry");
-                    reference.swap_remove(pos);
+                    Some(at)
+                }
+                CalOp::ClearSlot(k) => {
+                    cal.clear_slot(slots[k]);
+                    if let Some(old) = slot_ids[k].take() {
+                        reference.retain(|e| e.arrival != old);
+                    }
+                    None
                 }
                 CalOp::Pop => {
                     let expected = ref_pop(&mut reference);
                     let got = cal.pop();
                     prop_assert_eq!(got, expected, "pop disagrees with the reference");
                     if let Some((_, id)) = got {
-                        // The token (if any) is spent now; forget it so a
-                        // later Cancel cannot target a delivered event.
-                        pending.retain(|(_, p)| *p != id);
+                        // A delivered prediction vacates its slot.
+                        for s in slot_ids.iter_mut().filter(|s| **s == Some(id)) {
+                            *s = None;
+                        }
                     }
+                    None
                 }
+            };
+            if let Some(time) = at {
+                reference.push(RefEntry { time, arrival: arrivals });
+                arrivals += 1;
             }
-            prop_assert_eq!(cal.len(), reference.len(), "live-event counts diverged");
+            prop_assert_eq!(cal.len(), reference.len(), "pending-event counts diverged");
             prop_assert_eq!(cal.is_empty(), reference.is_empty());
+            for (k, id) in slot_ids.iter().enumerate() {
+                let want = id.map(|id| {
+                    reference.iter().find(|e| e.arrival == id).expect("pending").time
+                });
+                prop_assert_eq!(cal.slot_time(slots[k]), want);
+            }
         }
 
-        // Drain both to the end: full order equality, including ties and
-        // surviving cancellations.
+        // Drain both to the end: full order equality, including ties.
         loop {
             let expected = ref_pop(&mut reference);
             let got = cal.pop();
-            prop_assert_eq!(got, expected);
-            if got.is_none() {
-                break;
-            }
-        }
-    }
-}
-
-/// One step of the fast-lane/slot vs heap-only equivalence interleaving.
-#[derive(Debug, Clone)]
-enum LaneOp {
-    /// `schedule_after(delay)` — zero delays take the microqueue on the
-    /// subject and the heap on the reference.
-    After(u64),
-    /// `schedule_now` on the subject; `schedule(now)` on the reference.
-    Now,
-    /// `schedule_keyed` on both, retaining the token.
-    Keyed(u64),
-    /// Cancel the pending token at `index % pending.len()` on both.
-    Cancel(usize),
-    /// Re-predict slot `k`: `set_slot` on the subject, cancel+`schedule_keyed`
-    /// on the reference.
-    SetSlot(usize, u64),
-    /// Withdraw slot `k`: `clear_slot` on the subject, cancel on the
-    /// reference.
-    ClearSlot(usize),
-    /// Pop once from both and compare.
-    Pop,
-}
-
-fn lane_op_strategy() -> impl Strategy<Value = LaneOp> {
-    prop_oneof![
-        3 => (0u64..30).prop_map(LaneOp::After),
-        2 => Just(LaneOp::Now),
-        2 => (0u64..30).prop_map(LaneOp::Keyed),
-        1 => (0usize..1024).prop_map(LaneOp::Cancel),
-        3 => ((0usize..4), (0u64..30)).prop_map(|(k, d)| LaneOp::SetSlot(k, d)),
-        1 => (0usize..4).prop_map(LaneOp::ClearSlot),
-        4 => Just(LaneOp::Pop),
-    ]
-}
-
-const SLOT_BASE: u64 = 1 << 40;
-
-proptest! {
-    /// Tentpole equivalence: for arbitrary mixes of zero-delay events,
-    /// delayed events, cancellation tokens, and slot predictions, a
-    /// calendar using the same-instant fast lane and prediction slots pops
-    /// the exact sequence a heap-only calendar (plain `schedule` /
-    /// `schedule_keyed` + `cancel`) produces.
-    #[test]
-    fn fast_lane_and_slots_match_heap_only_reference(
-        ops in prop::collection::vec(lane_op_strategy(), 1..300),
-    ) {
-        let mut subject: EventCalendar<u64> = EventCalendar::new();
-        let mut reference: EventCalendar<u64> = EventCalendar::new();
-        let slots: Vec<_> = (0..4).map(|_| subject.register_slot()).collect();
-        let mut slot_tokens: Vec<Option<EventToken>> = vec![None; 4];
-        let mut pending: Vec<(EventToken, u64)> = Vec::new();
-        let mut arrivals: u64 = 0;
-
-        for op in ops {
-            match op {
-                LaneOp::After(delay_us) => {
-                    let d = SimDuration::from_micros(delay_us);
-                    reference.schedule(reference.now() + d, arrivals);
-                    subject.schedule_after(d, arrivals);
-                    arrivals += 1;
-                }
-                LaneOp::Now => {
-                    reference.schedule(reference.now(), arrivals);
-                    subject.schedule_now(arrivals);
-                    arrivals += 1;
-                }
-                LaneOp::Keyed(delay_us) => {
-                    let at = reference.now() + SimDuration::from_micros(delay_us);
-                    let rt = reference.schedule_keyed(at, arrivals);
-                    let st = subject.schedule_keyed(at, arrivals);
-                    prop_assert_eq!(rt, st, "token keys diverged");
-                    pending.push((rt, arrivals));
-                    arrivals += 1;
-                }
-                LaneOp::Cancel(index) => {
-                    if pending.is_empty() {
-                        continue;
-                    }
-                    let (tok, _) = pending.swap_remove(index % pending.len());
-                    prop_assert!(reference.cancel(tok));
-                    prop_assert!(subject.cancel(tok));
-                }
-                LaneOp::SetSlot(k, delay_us) => {
-                    let at = reference.now() + SimDuration::from_micros(delay_us);
-                    if let Some(tok) = slot_tokens[k].take() {
-                        reference.cancel(tok);
-                    }
-                    slot_tokens[k] = Some(reference.schedule_keyed(at, SLOT_BASE + k as u64));
-                    subject.set_slot(slots[k], at, SLOT_BASE + k as u64);
-                }
-                LaneOp::ClearSlot(k) => {
-                    if let Some(tok) = slot_tokens[k].take() {
-                        reference.cancel(tok);
-                    }
-                    subject.clear_slot(slots[k]);
-                }
-                LaneOp::Pop => {
-                    let expected = reference.pop();
-                    let got = subject.pop();
-                    prop_assert_eq!(got, expected, "pop diverged from heap-only reference");
-                    if let Some((_, id)) = got {
-                        if id >= SLOT_BASE {
-                            slot_tokens[(id - SLOT_BASE) as usize] = None;
-                        } else {
-                            pending.retain(|(_, p)| *p != id);
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(subject.len(), reference.len(), "live-event counts diverged");
-            prop_assert_eq!(subject.peek_time(), reference.peek_time());
-        }
-
-        loop {
-            let expected = reference.pop();
-            let got = subject.pop();
             prop_assert_eq!(got, expected);
             if got.is_none() {
                 break;
