@@ -20,6 +20,7 @@
 
 pub mod bto;
 pub mod common;
+mod dense;
 pub mod locking;
 pub mod locktable;
 pub mod manager;

@@ -21,6 +21,7 @@
 //! aborts (discarding them).
 
 use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnMeta};
+use crate::dense::{PageTable, TxnLists};
 use crate::manager::CcManager;
 use ddbm_config::{Algorithm, PageId, TxnId};
 use denet::FxHashMap;
@@ -40,11 +41,11 @@ struct PageState {
 /// See module docs.
 #[derive(Debug, Default)]
 pub struct OptimisticCertification {
-    pages: FxHashMap<PageId, PageState>,
-    /// Uncertified recorded reads: page → version that was read.
-    reads: FxHashMap<TxnId, Vec<(PageId, Ts)>>,
-    /// Uncertified recorded writes.
-    writes: FxHashMap<TxnId, Vec<PageId>>,
+    pages: PageTable<PageState>,
+    /// Recorded reads: page → version that was read.
+    reads: TxnLists<(PageId, Ts)>,
+    /// Recorded writes.
+    writes: TxnLists<PageId>,
     /// Commit timestamps of locally certified transactions.
     certified: FxHashMap<TxnId, Ts>,
 }
@@ -54,77 +55,73 @@ impl OptimisticCertification {
     pub fn new() -> OptimisticCertification {
         OptimisticCertification::default()
     }
+
+    /// Drop `txn`'s recorded accesses and their certified registrations;
+    /// `commit_ts` installs them first (Thomas write rule for writes).
+    fn finish(&mut self, txn: TxnId, commit_ts: Option<Ts>) {
+        self.reads.drain(txn, |(page, _)| {
+            let state = &mut self.pages[page];
+            state.cert_reads.retain(|(t, _)| *t != txn);
+            if let Some(ts) = commit_ts {
+                state.rts = state.rts.max(ts);
+            }
+        });
+        self.writes.drain(txn, |page| {
+            let state = &mut self.pages[page];
+            state.cert_writes.retain(|(t, _)| *t != txn);
+            if let Some(ts) = commit_ts {
+                state.wts = state.wts.max(ts);
+            }
+        });
+    }
 }
 
 impl CcManager for OptimisticCertification {
     fn request_access(&mut self, txn: &TxnMeta, page: PageId, write: bool) -> AccessResponse {
         // "A concurrency control request ... is always granted in the case
         // of the OPT algorithm" (paper §3.3).
-        let state = self.pages.entry(page).or_default();
+        let state = self.pages.entry(page);
         if write {
-            self.writes.entry(txn.id).or_default().push(page);
+            self.writes.push(txn.id, page);
         } else {
-            self.reads
-                .entry(txn.id)
-                .or_default()
-                .push((page, state.wts));
+            self.reads.push(txn.id, (page, state.wts));
         }
         AccessResponse::granted()
     }
 
-    fn preallocate(&mut self, num_pages: usize, _max_txn_accesses: usize) {
-        self.pages.reserve(num_pages);
+    fn preallocate(&mut self, _num_pages: usize, max_txn_accesses: usize) {
+        self.reads.set_capacity(max_txn_accesses);
+        self.writes.set_capacity(max_txn_accesses);
     }
 
     fn certify(&mut self, txn: &TxnMeta, commit_ts: Ts) -> bool {
-        let reads = self.reads.get(&txn.id).cloned().unwrap_or_default();
-        let writes = self.writes.get(&txn.id).cloned().unwrap_or_default();
-        let mut ok = true;
-        for (page, version) in &reads {
-            let state = self.pages.entry(*page).or_default();
-            if state.wts != *version {
-                ok = false; // the version read is no longer current
-                break;
-            }
-            if state.cert_writes.iter().any(|(t, _)| *t != txn.id) {
-                ok = false; // a certified (necessarily newer) write is pending
-                break;
-            }
-        }
-        if ok {
-            for page in &writes {
-                let state = self.pages.entry(*page).or_default();
-                if state.rts > commit_ts {
-                    ok = false; // a later read already committed
-                    break;
-                }
-                if state
-                    .cert_reads
-                    .iter()
-                    .any(|(t, ts)| *t != txn.id && *ts > commit_ts)
-                {
-                    ok = false; // a later read is locally certified
-                    break;
-                }
-            }
-        }
+        let reads = self.reads.get(txn.id);
+        let writes = self.writes.get(txn.id);
+        let read_ok = reads.iter().all(|&(page, version)| {
+            let state = &self.pages[page];
+            // The version read must still be current, and no certified
+            // (necessarily newer) write may be pending on it.
+            state.wts == version && state.cert_writes.iter().all(|(t, _)| *t == txn.id)
+        });
+        let ok = read_ok
+            && writes.iter().all(|&page| {
+                let state = &self.pages[page];
+                // No later read may have committed or be locally certified.
+                state.rts <= commit_ts
+                    && !state
+                        .cert_reads
+                        .iter()
+                        .any(|(t, ts)| *t != txn.id && *ts > commit_ts)
+            });
         if !ok {
             return false;
         }
         // Register the certified accesses; they hold until phase 2.
-        for (page, _) in reads {
-            self.pages
-                .entry(page)
-                .or_default()
-                .cert_reads
-                .push((txn.id, commit_ts));
+        for &(page, _) in reads {
+            self.pages[page].cert_reads.push((txn.id, commit_ts));
         }
-        for page in writes {
-            self.pages
-                .entry(page)
-                .or_default()
-                .cert_writes
-                .push((txn.id, commit_ts));
+        for &page in writes {
+            self.pages[page].cert_writes.push((txn.id, commit_ts));
         }
         self.certified.insert(txn.id, commit_ts);
         true
@@ -137,44 +134,13 @@ impl CcManager for OptimisticCertification {
             debug_assert!(false, "OPT commit for uncertified {txn}");
             return ReleaseResponse::default();
         };
-        if let Some(reads) = self.reads.remove(&txn) {
-            for (page, _) in reads {
-                if let Some(state) = self.pages.get_mut(&page) {
-                    state.cert_reads.retain(|(t, _)| *t != txn);
-                    state.rts = state.rts.max(commit_ts);
-                }
-            }
-        }
-        if let Some(writes) = self.writes.remove(&txn) {
-            for page in writes {
-                if let Some(state) = self.pages.get_mut(&page) {
-                    state.cert_writes.retain(|(t, _)| *t != txn);
-                    // Thomas write rule at install.
-                    if commit_ts > state.wts {
-                        state.wts = commit_ts;
-                    }
-                }
-            }
-        }
+        self.finish(txn, Some(commit_ts));
         ReleaseResponse::default()
     }
 
     fn abort(&mut self, txn: TxnId) -> ReleaseResponse {
         self.certified.remove(&txn);
-        if let Some(reads) = self.reads.remove(&txn) {
-            for (page, _) in reads {
-                if let Some(state) = self.pages.get_mut(&page) {
-                    state.cert_reads.retain(|(t, _)| *t != txn);
-                }
-            }
-        }
-        if let Some(writes) = self.writes.remove(&txn) {
-            for page in writes {
-                if let Some(state) = self.pages.get_mut(&page) {
-                    state.cert_writes.retain(|(t, _)| *t != txn);
-                }
-            }
-        }
+        self.finish(txn, None);
         ReleaseResponse::default()
     }
 

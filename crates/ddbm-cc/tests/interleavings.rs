@@ -10,10 +10,12 @@
 use ddbm_cc::{make_manager, AccessReply, CcManager, Ts, TxnMeta};
 use ddbm_config::{Algorithm, FileId, PageId, TxnId};
 
+/// Page key `n` as a page id, dealt round-robin over three files so that
+/// the two pages in play sit in different files.
 fn page(n: u64) -> PageId {
     PageId {
-        file: FileId(0),
-        page: n,
+        file: FileId((n % 3) as usize),
+        page: n / 3,
     }
 }
 

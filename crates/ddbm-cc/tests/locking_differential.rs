@@ -38,9 +38,10 @@ const ALGORITHMS: [Algorithm; 4] = [
 ];
 
 /// Transaction slots and pages in play: small enough that requests collide
-/// on almost every step.
+/// on almost every step. The pages spread over `FILES` files (see [`page`]).
 const SLOTS: u64 = 6;
 const PAGES: u64 = 4;
+const FILES: u64 = 3;
 
 /// The manager `make_manager_with` built before the lock-based algorithms
 /// shared one.
@@ -104,10 +105,13 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(op(), 10..80)
 }
 
+/// Page key `n` as a page id, dealt round-robin over the files so that
+/// pages sit in different rows of the page table and waits-for edges come
+/// out in cross-file order.
 fn page(n: u64) -> PageId {
     PageId {
-        file: FileId(0),
-        page: n,
+        file: FileId((n % FILES) as usize),
+        page: n / FILES,
     }
 }
 

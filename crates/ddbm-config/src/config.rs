@@ -115,15 +115,17 @@ impl Config {
     }
 
     /// An upper bound on the page accesses one transaction can make at any
-    /// single node: every partition of one relation, at most
-    /// `max_pages_per_file` pages each, times the replication factor (each
-    /// write adds one access per extra replica). Used to pre-size
+    /// single node: at most `max_pages_per_file` pages in each copy of its
+    /// relation's files that the node stores (a transaction touches each
+    /// page once, and each copy of it at most once). Used to pre-size
     /// per-transaction buffers so the steady-state hot path stays off the
     /// allocator (see `CcManager::preallocate`).
     pub fn max_txn_accesses(&self) -> usize {
-        self.database.partitions_per_relation
-            * self.workload.max_pages_per_file as usize
-            * self.replication.factor
+        Placement::max_relation_copies_per_node(
+            &self.database,
+            self.system.num_proc_nodes,
+            self.replication.factor,
+        ) * self.workload.max_pages_per_file as usize
     }
 
     /// The relation a terminal's transactions access: terminals are divided

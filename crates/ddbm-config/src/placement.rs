@@ -179,6 +179,23 @@ impl Placement {
         })
     }
 
+    /// The most copies (primaries and replicas) of one relation's files
+    /// that any one node stores in the
+    /// [`replicated_layout`](Placement::replicated_layout) for these
+    /// parameters. Computed without building the layout: a relation's
+    /// partitions form `degree` groups whose primaries lie `stride` nodes
+    /// apart, and a node holds a copy of every group whose primary is among
+    /// the `factor` nodes ending at it.
+    pub(crate) fn max_relation_copies_per_node(
+        db: &DatabaseParams,
+        num_proc_nodes: usize,
+        factor: usize,
+    ) -> usize {
+        let degree = db.declustering_degree.max(1);
+        let stride = (num_proc_nodes / degree).max(1);
+        db.partitions_per_relation / degree * factor.div_ceil(stride)
+    }
+
     /// The processing node storing the primary copy of `file`.
     #[inline]
     pub fn node_of(&self, file: FileId) -> NodeId {
@@ -255,6 +272,40 @@ impl Placement {
 mod tests {
     use super::*;
     use crate::params::DatabaseParams;
+
+    #[test]
+    fn relation_copies_per_node_match_the_layout() {
+        for (nodes, degree, factor) in [
+            (1, 1, 1),
+            (8, 1, 1),
+            (8, 1, 3),
+            (8, 2, 2),
+            (8, 4, 3),
+            (8, 8, 1),
+            (8, 8, 3),
+            (8, 8, 8),
+            (4, 2, 3),
+        ] {
+            let db = DatabaseParams::small(degree);
+            let p = Placement::replicated_layout(&db, nodes, factor).unwrap();
+            let most = (0..db.num_relations)
+                .flat_map(|rel| {
+                    let mut copies = vec![0; nodes];
+                    for part in 0..db.partitions_per_relation {
+                        for node in p.replicas(p.file_of(rel, part), nodes) {
+                            copies[node.0 - 1] += 1;
+                        }
+                    }
+                    copies
+                })
+                .max();
+            assert_eq!(
+                Some(Placement::max_relation_copies_per_node(&db, nodes, factor)),
+                most,
+                "{nodes} nodes, degree {degree}, factor {factor}"
+            );
+        }
+    }
 
     #[test]
     fn one_node_machine_puts_everything_on_s1() {

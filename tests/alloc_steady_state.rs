@@ -14,11 +14,19 @@
 //! report construction is identical in both runs because every collector is
 //! fixed-size).
 //!
+//! The test covers the three CC manager families with per-page state: the
+//! lock manager (2PL), basic timestamp ordering and optimistic
+//! certification. Each keeps that state in a dense page table whose entries
+//! are never removed, and its per-transaction access lists in pooled
+//! buffers grown to a capacity floor.
+//!
 //! The workload is chosen to be contention-free (one terminal per relation,
 //! so two transactions never touch the same relation concurrently) with a
-//! small page space that saturates the lock-table / timestamp-table maps
-//! during warmup. Contended paths allocate for genuinely variable-size
-//! results (grant lists, deadlock victims) and are exercised elsewhere.
+//! small page space that the warmup touches essentially in full, so each
+//! page-table row and each page entry's buffers reach their final size
+//! before measurement starts. Contended paths allocate for genuinely
+//! variable-size results (grant lists, deadlock victims) and are exercised
+//! elsewhere.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,8 +80,8 @@ fn config(algorithm: Algorithm, measure_commits: u64) -> Config {
     // fast paths only.
     c.workload.num_terminals = 8;
     // Shrink the page space (8 files/node x 32 pages = 256 pages/node) so
-    // the warmup touches essentially every page and the per-page maps reach
-    // their high-water capacity before measurement starts.
+    // the warmup touches essentially every page and the page tables reach
+    // their full size before measurement starts.
     c.database.pages_per_file = 32;
     c.control.seed = 0xA110C;
     // Long enough for every page's state entry and every pooled buffer to
@@ -108,11 +116,12 @@ fn steady_state_allocs(algorithm: Algorithm) -> i64 {
 
 #[test]
 fn steady_state_commits_do_not_allocate() {
-    // Both algorithm families in one #[test]: the counter is global, so the
-    // measurements must not run on concurrent test threads.
+    // All three manager families in one #[test]: the counter is global, so
+    // the measurements must not run on concurrent test threads.
     for algorithm in [
         Algorithm::TwoPhaseLocking,
         Algorithm::BasicTimestampOrdering,
+        Algorithm::Optimistic,
     ] {
         let allocs = steady_state_allocs(algorithm);
         assert_eq!(
