@@ -4,7 +4,7 @@
 //! simulation cost).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ddbm_cc::{make_manager, LockMode, LockTable, Ts, TxnMeta};
+use ddbm_cc::{make_manager, AccessReply, AccessResponse, LockMode, LockTable, Ts, TxnMeta};
 use ddbm_config::{Algorithm, Config, FileId, PageId, TxnId};
 use ddbm_core::run_config;
 use ddbm_resource::Cpu;
@@ -247,7 +247,7 @@ fn cpu_model(c: &mut Criterion) {
                 }
                 done += usize::from(cpu.submit_shared(now, i, 500.0 + (i % 13) as f64).is_some());
                 if i % 50 == 0 {
-                    done += cpu.cancel_shared_where(|tag| tag % 17 == 3).len();
+                    done += cpu.cancel_shared_where(|tag| tag % 17 == 3);
                 }
             }
             while let Some(t) = cpu.next_completion() {
@@ -283,6 +283,38 @@ fn cc_managers(c: &mut Criterion) {
             })
         });
     }
+    // The loop above lets blocked transactions keep requesting, which the
+    // simulator never does. Here every waiter has one request outstanding,
+    // as in a simulation: one node holds 50 locks, half of their holders
+    // queued behind a neighbour, plus 25 more waiters spread over the
+    // pages. Each iteration times one more block and its release.
+    group.bench_function("2PL_block_busy_node", |b| {
+        let meta = |t: u64| TxnMeta {
+            id: TxnId(t),
+            initial_ts: Ts::new(t, TxnId(t)),
+            run_ts: Ts::new(t, TxnId(t)),
+        };
+        let page = |p: u64| PageId {
+            file: FileId((p % 4) as usize),
+            page: p / 4,
+        };
+        let mut m = make_manager(Algorithm::TwoPhaseLocking);
+        for t in 0..50 {
+            assert_eq!(
+                m.request_access(&meta(t), page(t), true).reply,
+                AccessReply::Granted
+            );
+        }
+        let waits = (1..50).step_by(2).map(|t| (t, t - 1));
+        for (t, p) in waits.chain((50..75).map(|t| (t, t * 7 % 50))) {
+            let r = m.request_access(&meta(t), page(p), true);
+            assert_eq!(r, AccessResponse::blocked());
+        }
+        b.iter(|| {
+            black_box(m.request_access(&meta(100), page(1), true));
+            black_box(m.abort(TxnId(100)));
+        })
+    });
     group.finish();
 }
 

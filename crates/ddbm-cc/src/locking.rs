@@ -12,6 +12,10 @@
 //!   *global* deadlocks are found by the rotating Snoop, which unions
 //!   [`CcManager::waits_for_edges_into`] from every node. In both cases the
 //!   victim is the cycle member with the most recent initial startup time.
+//!   The local check is incremental: while the node's graph is known to be
+//!   acyclic, a new cycle must pass through the requester, so a search from
+//!   it decides; only when it reaches the requester, or the graph is not
+//!   known to be acyclic, is the whole graph rebuilt and resolved.
 //! * **2PL-T** does nothing on block: the transaction manager aborts cohorts
 //!   that stay blocked past `SystemParams::lock_timeout`.
 //! * **Wound-wait** prevents deadlock with initial-startup timestamps: a
@@ -58,8 +62,13 @@ pub struct Locking {
     /// the table stays short without an allocation per evaluation.
     holders: Vec<(TxnId, LockMode)>,
     waiters: Vec<(TxnId, LockMode)>,
-    /// Scratch for 2PL's local detection, which runs on every block.
+    /// Scratch for 2PL's full local scan: the node's waits-for edges.
     edges: Vec<(TxnId, TxnId)>,
+    /// True while this node's waits-for graph is known to be acyclic apart
+    /// from what the lock table's `grant_to_waiter` flag reports. Starts
+    /// true (no waits); a full scan leaves it true only when it finds no
+    /// victim, or only the requester and its cancelled wait was its last.
+    clean: bool,
 }
 
 /// The transactions a `mode` request by `waiter` waits behind: conflicting
@@ -100,6 +109,7 @@ impl Locking {
             holders: Vec::new(),
             waiters: Vec::new(),
             edges: Vec::new(),
+            clean: true,
         }
     }
 
@@ -152,19 +162,43 @@ impl Locking {
     }
 
     /// 2PL's local deadlock detection for `txn`, just queued on `page`.
+    ///
+    /// Between two detections the graph gains edges only where a request
+    /// is queued (every new edge leaves or enters the requester) and where
+    /// a grant makes a transaction a holder (every new edge enters the
+    /// grantee, so it can close a cycle only if the grantee still waits
+    /// here). So when the graph was acyclic after the last detection and
+    /// no grant went to a waiter since, any cycle passes through `txn`, and
+    /// a search from `txn` that does not come back finds none. Otherwise
+    /// the whole graph is resolved, with the same victims in the same order.
     fn detect(&mut self, txn: TxnId, page: PageId) -> AccessResponse {
-        self.edges.clear();
-        self.table.waits_for_edges_into(&mut self.edges);
-        let mut victims = resolve_deadlocks(&self.edges, |t| self.ts(t));
+        let grant_to_waiter = self.table.take_grant_to_waiter();
+        if self.clean && !grant_to_waiter && !self.table.waits_on_itself(txn) {
+            debug_assert_eq!(self.full_scan(), [], "the search missed a cycle");
+            return AccessResponse::blocked();
+        }
+        let mut victims = self.full_scan();
         if !victims.contains(&txn) {
+            self.clean = victims.is_empty();
             let mut resp = AccessResponse::blocked();
             resp.side_effects.must_abort = victims;
             return resp;
         }
         victims.retain(|v| *v != txn);
         let mut resp = self.reject(txn, page);
+        // With its last wait cancelled the requester has no outgoing edge,
+        // so it closes no cycle.
+        self.clean = victims.is_empty() && self.table.wait_pages(txn).is_empty();
         resp.side_effects.must_abort = victims;
         resp
+    }
+
+    /// The victims of every cycle in this node's waits-for graph, in the
+    /// order the detector picks them.
+    fn full_scan(&mut self) -> Vec<TxnId> {
+        self.edges.clear();
+        self.table.waits_for_edges_into(&mut self.edges);
+        resolve_deadlocks(&self.edges, |t| self.ts(t))
     }
 
     /// The requester itself must abort: withdraw its fresh wait so the table
@@ -426,6 +460,49 @@ mod tests {
                 !edges.contains(&(TxnId(2), TxnId(1))),
                 "rejected wait still present: {edges:?}"
             );
+        }
+
+        /// Cycles that a grant closes, away from the next requester: only a
+        /// transaction that keeps requesting while blocked (never one in
+        /// the simulator) can be granted a lock while it still waits.
+        #[test]
+        fn cycle_closed_by_barging_request_is_found_at_next_block() {
+            let mut m = Locking::new(Algorithm::TwoPhaseLocking, true);
+            m.request_access(&meta(1), page(1), false);
+            m.request_access(&meta(2), page(2), true);
+            // T2 waits on T1's read lock; T3 waits on T2's write lock.
+            let blocked = AccessReply::Blocked;
+            assert_eq!(m.request_access(&meta(2), page(1), true).reply, blocked);
+            assert_eq!(m.request_access(&meta(3), page(2), false).reply, blocked);
+            // Barging grants T3's read past T2's queued write: T2 now also
+            // waits on T3, closing the cycle {T2, T3}.
+            let r = m.request_access(&meta(3), page(1), false);
+            assert_eq!(r.reply, AccessReply::Granted);
+            // An unrelated block still sees it; T3 is the youngest member.
+            let r = m.request_access(&meta(9), page(1), true);
+            assert_eq!(r.reply, AccessReply::Blocked);
+            assert_eq!(r.must_abort(), vec![TxnId(3)]);
+        }
+
+        #[test]
+        fn cycle_closed_by_barging_release_is_found_at_next_block() {
+            let mut m = Locking::new(Algorithm::TwoPhaseLocking, true);
+            m.request_access(&meta(8), page(1), true);
+            m.request_access(&meta(3), page(2), true);
+            // Queue on page 1: T1 read, T3 write, T4 read. T4 also waits on
+            // T3's write lock on page 2.
+            let blocked = AccessReply::Blocked;
+            assert_eq!(m.request_access(&meta(1), page(1), false).reply, blocked);
+            assert_eq!(m.request_access(&meta(3), page(1), true).reply, blocked);
+            assert_eq!(m.request_access(&meta(4), page(2), true).reply, blocked);
+            assert_eq!(m.request_access(&meta(4), page(1), false).reply, blocked);
+            // T8's commit grants both reads past T3's write: T3 now waits on
+            // T4, which still waits on T3.
+            let rel = m.commit(TxnId(8));
+            assert_eq!(rel.granted, vec![(TxnId(1), page(1)), (TxnId(4), page(1))]);
+            let r = m.request_access(&meta(9), page(1), true);
+            assert_eq!(r.reply, AccessReply::Blocked);
+            assert_eq!(r.must_abort(), vec![TxnId(4)]);
         }
     }
 

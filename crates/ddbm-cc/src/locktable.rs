@@ -47,6 +47,27 @@ impl PageLock {
         }
     }
 
+    /// The transactions the request at queue position `i` waits behind:
+    /// conflicting holders (every other holder, for an upgrade), then
+    /// conflicting requests queued ahead of it, since FIFO queues make those
+    /// real waits too. The one conflict rule behind both the exported
+    /// waits-for edges and 2PL's local search.
+    fn blockers(&self, i: usize) -> impl Iterator<Item = TxnId> + '_ {
+        let w = self.queue[i];
+        let holders = self
+            .holders
+            .iter()
+            .filter(move |(_, m)| w.is_upgrade || !m.compatible(w.mode))
+            .map(|(t, _)| *t);
+        let ahead = self
+            .queue
+            .iter()
+            .take(i)
+            .filter(move |a| !a.mode.compatible(w.mode))
+            .map(|a| a.txn);
+        holders.chain(ahead).filter(move |t| *t != w.txn)
+    }
+
     fn grant(&mut self, req: WaitReq) {
         if req.is_upgrade {
             debug_assert_eq!(self.holders.len(), 1);
@@ -69,10 +90,9 @@ pub struct LockTable {
     held: TxnLists<PageId>,
     /// Pages each transaction is queued on.
     waiting: TxnLists<PageId>,
-    /// Pages whose queue is non-empty, kept sorted. [`waits_for_edges`]
-    /// (called on *every* blocked request under 2PL local detection) walks
-    /// only these instead of collecting and sorting every held page —
-    /// profiling showed that collect+sort dominating the whole request path.
+    /// Pages whose queue is non-empty, kept sorted: [`waits_for_edges`]
+    /// walks only these instead of every page touched, and their order is
+    /// the order of its edges.
     ///
     /// [`waits_for_edges`]: LockTable::waits_for_edges
     queued: BTreeSet<PageId>,
@@ -87,6 +107,15 @@ pub struct LockTable {
     ///
     /// [`release_all`]: LockTable::release_all
     touched_scratch: Vec<PageId>,
+    /// Set when a grant goes to a transaction that still waits on another
+    /// page here: its new incoming edges can close a waits-for cycle that
+    /// does not pass through the next requester. Read and cleared by
+    /// [`take_grant_to_waiter`](LockTable::take_grant_to_waiter).
+    grant_to_waiter: bool,
+    /// Scratch for [`waits_on_itself`](LockTable::waits_on_itself): the
+    /// search stack and the waiting transactions already pushed on it.
+    search: Vec<TxnId>,
+    seen: Vec<TxnId>,
 }
 
 impl LockTable {
@@ -155,6 +184,7 @@ impl LockTable {
             if !req.is_upgrade {
                 self.held.push(txn, page);
             }
+            self.grant_to_waiter |= self.waiting.contains(txn);
             LockOutcome::Granted
         } else {
             if req.is_upgrade {
@@ -223,6 +253,7 @@ impl LockTable {
                 self.held.push(head.txn, page);
             }
             self.waiting.retain(head.txn, |p| *p != page);
+            self.grant_to_waiter |= self.waiting.contains(head.txn);
             granted.push((head.txn, page));
         }
         if lock.queue.is_empty() {
@@ -264,36 +295,58 @@ impl LockTable {
         edges
     }
 
-    /// [`waits_for_edges`], appending into a caller-owned buffer so hot
-    /// callers (2PL detects on every block) can recycle the allocation.
+    /// [`waits_for_edges`], appending into a caller-owned buffer so repeated
+    /// callers (the Snoop, 2PL's full local scan) can recycle the allocation.
     ///
     /// [`waits_for_edges`]: LockTable::waits_for_edges
     pub fn waits_for_edges_into(&self, edges: &mut Vec<(TxnId, TxnId)>) {
-        // Only pages with waiters produce edges; `queued` iterates them in
-        // sorted order, so the output order matches the previous
-        // all-pages-sorted scan exactly (pages without a queue emitted
-        // nothing there).
         for &page in &self.queued {
             let lock = &self.pages[page];
             for (i, w) in lock.queue.iter().enumerate() {
-                let blocks_w = |other_txn: TxnId, other_mode: LockMode, upgrade_pair: bool| {
-                    other_txn != w.txn && (!other_mode.compatible(w.mode) || upgrade_pair)
-                };
-                for (t, m) in &lock.holders {
-                    // An upgrade conflicts with every *other* holder even if
-                    // that holder's lock is a compatible read lock.
-                    let upgrade_pair = w.is_upgrade;
-                    if blocks_w(*t, *m, upgrade_pair) {
-                        edges.push((w.txn, *t));
+                edges.extend(lock.blockers(i).map(|b| (w.txn, b)));
+            }
+        }
+    }
+
+    /// True when `txn` reaches itself over the edges of
+    /// [`waits_for_edges`](LockTable::waits_for_edges): a depth-first search
+    /// from `txn` through the blockers of its queued requests, theirs, and
+    /// so on. Only waiting transactions have outgoing edges, so holders that
+    /// wait nowhere end a path.
+    pub(crate) fn waits_on_itself(&mut self, txn: TxnId) -> bool {
+        let LockTable {
+            pages,
+            waiting,
+            search,
+            seen,
+            ..
+        } = self;
+        search.clear();
+        seen.clear();
+        search.push(txn);
+        while let Some(t) = search.pop() {
+            for &page in waiting.get(t) {
+                let lock = &pages[page];
+                let at = lock.queue.iter().position(|w| w.txn == t);
+                let at = at.expect("a waiting transaction is queued on its pages");
+                for b in lock.blockers(at) {
+                    if b == txn {
+                        return true;
                     }
-                }
-                for ahead in lock.queue.iter().take(i) {
-                    if blocks_w(ahead.txn, ahead.mode, false) {
-                        edges.push((w.txn, ahead.txn));
+                    if !seen.contains(&b) && waiting.contains(b) {
+                        seen.push(b);
+                        search.push(b);
                     }
                 }
             }
         }
+        false
+    }
+
+    /// Whether a grant went to a transaction still waiting here since the
+    /// last call (see `grant_to_waiter`); clears the flag.
+    pub(crate) fn take_grant_to_waiter(&mut self) -> bool {
+        std::mem::take(&mut self.grant_to_waiter)
     }
 
     /// The queued-page index: pages whose wait queue is currently

@@ -1,21 +1,22 @@
 //! Waits-for graph analysis: cycle detection and victim selection.
 //!
-//! Used for 2PL's local detection (run whenever a cohort blocks, over the
-//! node's own edges) and for global detection (run by the current "Snoop"
-//! node over the union of all nodes' edges). Deadlocks are resolved by
-//! aborting the transaction with the most recent initial startup time among
-//! those in the cycle (paper §2.2).
+//! Used for 2PL's full local scan (over the node's own edges, when a
+//! blocked cohort's search cannot rule a cycle out; see
+//! [`Locking`](crate::locking::Locking)) and for global detection (run by
+//! the current "Snoop" node over the union of all nodes' edges). Deadlocks
+//! are resolved by aborting the transaction with the most recent initial
+//! startup time among those in the cycle (paper §2.2).
 
 use crate::common::Ts;
 use ddbm_config::TxnId;
 use std::cell::RefCell;
 
-/// Reusable working storage for [`find_cycle`]. Local detection runs on
-/// every cohort block, so the analysis must not allocate in steady state;
-/// all intermediate structures live here and are recycled through a
-/// thread-local. Contents never survive a call (everything is rebuilt from
-/// the edge list each time), so recycling cannot affect results and the
-/// simulation stays deterministic regardless of which thread runs it.
+/// Reusable working storage for [`find_cycle`], so repeated scans do not
+/// allocate in steady state; all intermediate structures live here and are
+/// recycled through a thread-local. Contents never survive a call
+/// (everything is rebuilt from the edge list each time), so recycling
+/// cannot affect results and the simulation stays deterministic regardless
+/// of which thread runs it.
 #[derive(Default)]
 struct Scratch {
     /// Sorted, deduplicated node ids; position = compressed index.
@@ -26,10 +27,6 @@ struct Scratch {
     row_start: Vec<u32>,
     /// CSR successor array, ascending within each row.
     heads: Vec<u32>,
-    /// In-degrees for Kahn peeling.
-    indegree: Vec<u32>,
-    /// Kahn work stack of in-degree-zero nodes.
-    ready: Vec<u32>,
     /// DFS colors (white/grey/black).
     color: Vec<u8>,
     /// DFS stack of (node, next successor offset).
@@ -43,18 +40,11 @@ thread_local! {
 }
 
 /// Find one cycle in the directed graph given by `edges`, if any, returning
-/// its member transactions. Detection is deterministic: nodes are explored
-/// in sorted order.
-///
-/// The graph is acyclic in the overwhelming majority of calls, so the
-/// no-cycle answer has to be cheap: transaction ids are index-compressed,
-/// the graph is stored in CSR form (flat vectors, no hashing), and
-/// acyclicity is decided by Kahn peeling, which touches each edge once.
-/// Only when a cycle provably exists does the deterministic DFS run to
-/// extract its members — and the DFS visits nodes in sorted-id order with
-/// sorted, deduplicated successor lists, exactly like the original hash-map
-/// implementation, so the cycle (and thus the victim) reported for any
-/// given graph is unchanged.
+/// its member transactions. Detection is deterministic: transaction ids are
+/// index-compressed, the graph is stored in CSR form (flat vectors, no
+/// hashing), and a DFS visits nodes in sorted-id order over sorted,
+/// deduplicated successor lists, so the cycle (and thus the victim)
+/// reported for a graph does not depend on the order of its edges.
 pub fn find_cycle(edges: &[(TxnId, TxnId)]) -> Option<Vec<TxnId>> {
     if edges.is_empty() {
         return None;
@@ -99,31 +89,6 @@ fn find_cycle_in(s: &mut Scratch, edges: &[(TxnId, TxnId)]) -> Option<Vec<TxnId>
     let row_start = &s.row_start;
     let heads = &s.heads;
     let succs = |u: u32| &heads[row_start[u as usize] as usize..row_start[u as usize + 1] as usize];
-
-    // Fast path: Kahn peeling. If every node can be removed once its
-    // in-degree drains to zero, the graph is acyclic and there is nothing
-    // to extract.
-    s.indegree.clear();
-    s.indegree.resize(n, 0);
-    for &to in heads {
-        s.indegree[to as usize] += 1;
-    }
-    s.ready.clear();
-    s.ready
-        .extend((0..n as u32).filter(|&u| s.indegree[u as usize] == 0));
-    let mut removed = 0usize;
-    while let Some(u) = s.ready.pop() {
-        removed += 1;
-        for &v in succs(u) {
-            s.indegree[v as usize] -= 1;
-            if s.indegree[v as usize] == 0 {
-                s.ready.push(v);
-            }
-        }
-    }
-    if removed == n {
-        return None;
-    }
 
     // Iterative DFS keeping the grey path so the cycle can be extracted.
     const WHITE: u8 = 0;
@@ -170,7 +135,7 @@ fn find_cycle_in(s: &mut Scratch, edges: &[(TxnId, TxnId)]) -> Option<Vec<TxnId>
             }
         }
     }
-    unreachable!("Kahn peeling found a cycle the DFS failed to extract")
+    None
 }
 
 /// Repeatedly find cycles and select victims until the graph is acyclic.

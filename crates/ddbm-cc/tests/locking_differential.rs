@@ -10,8 +10,11 @@
 //! on the same page, and transactions told to abort (deadlock victims,
 //! wounds, deaths) do so, so releases cascade through the queues. Blocked
 //! and doomed transactions also retry requests, which the simulator never
-//! does but which reaches the rarest paths (see [`differential`]). Each run
-//! asserts that every kind of side effect occurred often enough for the
+//! does but which reaches the rarest paths (see [`differential`]). A second
+//! mode keeps the simulator's discipline instead, so 2PL's local detection
+//! mostly answers from its search from the requester rather than the full
+//! scan the retired manager runs on every block (see [`Discipline`]). Each
+//! run asserts that every kind of side effect occurred often enough for the
 //! comparison to mean something.
 
 #[path = "support/twopl.rs"]
@@ -57,6 +60,18 @@ fn retired(algorithm: Algorithm, barging: bool) -> Box<dyn CcManager> {
         Algorithm::WaitDie => Box::new(WaitDie::new()),
         other => unreachable!("{other:?} is not a locking algorithm"),
     }
+}
+
+/// How a stream's transactions behave between their steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Discipline {
+    /// Blocked transactions keep issuing requests, and doomed ones retry
+    /// blocked requests before they abort.
+    Free,
+    /// As in the simulator: a transaction with a blocked request makes no
+    /// move but its abort (its other steps are skipped), and a transaction
+    /// told to abort aborts on its next move.
+    Simulator,
 }
 
 /// One generated step. Transactions are named by slot; a slot's current
@@ -215,7 +230,7 @@ fn assert_same_state(old: &dyn CcManager, new: &dyn CcManager, step: usize) {
 }
 
 /// Run `ops` through the retired and the unified manager side by side.
-fn run(algorithm: Algorithm, barging: bool, ops: &[Op], tally: &mut Tally) {
+fn run(algorithm: Algorithm, barging: bool, discipline: Discipline, ops: &[Op], tally: &mut Tally) {
     let mut old = retired(algorithm, barging);
     let mut new = make_manager_with(algorithm, barging);
     let mut d = Driver::default();
@@ -228,12 +243,19 @@ fn run(algorithm: Algorithm, barging: bool, ops: &[Op], tally: &mut Tally) {
             Op::Abort { slot } => (slot, Some(false)),
         };
         let txn = d.txn(slot);
-        // A doomed transaction's next move is its abort, unless it retries.
-        let release = if d.doomed.contains(&txn) && !matches!(op, Op::Retry { .. }) {
-            Some(false)
-        } else {
-            release
-        };
+        let doomed = d.doomed.contains(&txn);
+        let blocked = d.pending.keys().any(|(t, _)| *t == txn);
+        if discipline == Discipline::Simulator && blocked && !doomed && release != Some(false) {
+            continue;
+        }
+        // A doomed transaction's next move is its abort, unless it retries
+        // in a free stream.
+        let release =
+            if doomed && (discipline == Discipline::Simulator || !matches!(op, Op::Retry { .. })) {
+                Some(false)
+            } else {
+                release
+            };
         if let Some(commit) = release {
             let (a, b) = if commit {
                 (old.commit(txn), new.commit(txn))
@@ -311,7 +333,7 @@ fn differential(cases: u32) {
                 &name,
                 &ProptestConfig::with_cases(cases),
                 &(ops(),),
-                |(ops,)| run(algorithm, barging, &ops, &mut tally),
+                |(ops,)| run(algorithm, barging, Discipline::Free, &ops, &mut tally),
             );
             let t = &tally;
             let mut expected = vec![
@@ -345,6 +367,40 @@ fn differential(cases: u32) {
     }
 }
 
+/// Run `cases` simulator-discipline streams through 2PL, with barging off
+/// and on, against the retired manager's full scan on every block, and
+/// check that blocks, local deadlocks and their resolutions all occurred.
+fn disciplined_differential(cases: u32) {
+    let common = (cases / 16) as usize;
+    for barging in [false, true] {
+        let mut tally = Tally::default();
+        let name = format!("locking_differential simulator discipline barging={barging}");
+        proptest::run_cases(
+            &name,
+            &ProptestConfig::with_cases(cases),
+            &(ops(),),
+            |(ops,)| {
+                let algorithm = Algorithm::TwoPhaseLocking;
+                run(algorithm, barging, Discipline::Simulator, &ops, &mut tally)
+            },
+        );
+        let t = &tally;
+        for (kind, count) in [
+            ("upgrades", t.upgrades),
+            ("blocks", t.blocks),
+            ("release grants", t.release_grants),
+            ("rejections", t.rejections),
+            ("must-abort", t.must_abort),
+        ] {
+            assert!(
+                count >= common,
+                "{name}: only {count} {kind} in {cases} cases: {t:?}"
+            );
+        }
+        assert_eq!(t.retries, 0, "{name}: a blocked transaction retried");
+    }
+}
+
 #[test]
 fn unified_manager_matches_retired_managers() {
     differential(2_048);
@@ -354,4 +410,15 @@ fn unified_manager_matches_retired_managers() {
 #[ignore = "long run; `cargo test --release -p ddbm-cc -- --ignored`"]
 fn unified_manager_matches_retired_managers_long() {
     differential(20_000);
+}
+
+#[test]
+fn two_pl_matches_full_scan_under_simulator_discipline() {
+    disciplined_differential(2_048);
+}
+
+#[test]
+#[ignore = "long run; `cargo test --release -p ddbm-cc -- --ignored`"]
+fn two_pl_matches_full_scan_under_simulator_discipline_long() {
+    disciplined_differential(20_000);
 }

@@ -170,7 +170,7 @@ proptest! {
         }
     }
 
-    /// Cycle-detector differential: the CSR/Kahn `find_cycle` agrees with a
+    /// Cycle-detector differential: the CSR `find_cycle` agrees with a
     /// brute-force per-node reachability reference on random digraphs
     /// (self-loops and parallel edges included), any cycle it reports is a
     /// real cycle of the graph, and detection is deterministic.

@@ -347,23 +347,23 @@ impl<T> Cpu<T> {
     }
 
     /// Remove all processor-shared jobs matching `pred` (e.g. the work of an
-    /// aborted cohort) and return their tags. Message jobs are never
-    /// cancelled: protocol processing always runs to completion.
+    /// aborted cohort) and return how many were removed. Message jobs are
+    /// never cancelled: protocol processing always runs to completion.
     ///
     /// Removal is O(1) per removed job (slot freed, heap entry tombstoned
     /// and skipped lazily); the fluid share of the survivors adjusts
     /// automatically because `live` shrinks.
-    pub fn cancel_shared_where(&mut self, pred: impl Fn(&T) -> bool) -> Vec<T> {
-        let mut removed = Vec::new();
+    pub fn cancel_shared_where(&mut self, pred: impl Fn(&T) -> bool) -> usize {
+        let mut removed = 0;
         for i in 0..self.slots.len() {
             if self.slots[i].as_ref().is_some_and(|s| pred(&s.tag)) {
-                let slot = self.slots[i].take().expect("checked");
+                self.slots[i] = None;
                 self.free.push(i as u32);
                 self.live -= 1;
-                removed.push(slot.tag);
+                removed += 1;
             }
         }
-        if !removed.is_empty() {
+        if removed > 0 {
             if self.live == 0 {
                 self.v = 0.0;
                 self.heap.clear();
@@ -610,8 +610,7 @@ mod tests {
         assert!(cpu.submit_shared(SimTime::ZERO, 1, 1_000.0).is_none());
         assert!(cpu.submit_shared(SimTime::ZERO, 2, 1_000.0).is_none());
         assert!(cpu.submit_shared(SimTime::ZERO, 3, 1_000.0).is_none());
-        let removed = cpu.cancel_shared_where(|t| *t == 2);
-        assert_eq!(removed, vec![2]);
+        assert_eq!(cpu.cancel_shared_where(|t| *t == 2), 1);
         // Remaining two share the CPU from t=0: both done at 2 ms.
         let done = drain(&mut cpu, SimTime(2_000_000));
         assert_eq!(done, vec![1, 3]);
@@ -624,7 +623,7 @@ mod tests {
         assert!(cpu.submit_shared(SimTime::ZERO, 2, 5_000.0).is_none());
         // Job 1 would finish first (at 2 ms); cancel it. Job 2 then owns the
         // whole CPU from t=0: done at 5 ms.
-        assert_eq!(cpu.cancel_shared_where(|t| *t == 1), vec![1]);
+        assert_eq!(cpu.cancel_shared_where(|t| *t == 1), 1);
         assert_eq!(cpu.next_completion(), Some(SimTime(5_000_000)));
         assert_eq!(cpu.advance(SimTime(5_000_000)), vec![2]);
         assert!(cpu.is_idle());
@@ -639,7 +638,8 @@ mod tests {
                 let t = cpu.next_completion().unwrap();
                 assert_eq!(cpu.advance(t), vec![round]);
             } else {
-                assert_eq!(cpu.cancel_shared_where(|_| true), vec![round]);
+                assert_eq!(cpu.cancel_shared_where(|_| true), 1);
+                assert_eq!(cpu.next_completion(), None);
             }
         }
         assert!(cpu.is_idle());

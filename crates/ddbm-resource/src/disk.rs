@@ -151,22 +151,14 @@ impl<T> Disk<T> {
         self.reads.len() + self.writes.len()
     }
 
-    /// Remove queued (not yet started) requests matching `pred`; the
-    /// in-service request always completes. Returns removed tags.
-    pub fn cancel_queued_where(&mut self, pred: impl Fn(&T) -> bool) -> Vec<T> {
-        let mut removed = Vec::new();
-        for q in [&mut self.reads, &mut self.writes] {
-            let mut keep = VecDeque::with_capacity(q.len());
-            while let Some(p) = q.pop_front() {
-                if pred(&p.tag) {
-                    removed.push(p.tag);
-                } else {
-                    keep.push_back(p);
-                }
-            }
-            *q = keep;
-        }
-        removed
+    /// Remove queued (not yet started) requests matching `pred`, in place
+    /// and keeping the survivors' order; the in-service request always
+    /// completes. Returns how many were removed.
+    pub fn cancel_queued_where(&mut self, pred: impl Fn(&T) -> bool) -> usize {
+        let before = self.queue_len();
+        self.reads.retain(|p| !pred(&p.tag));
+        self.writes.retain(|p| !pred(&p.tag));
+        before - self.queue_len()
     }
 
     /// `utilization`.
@@ -265,13 +257,13 @@ impl<T> DiskArray<T> {
         self.disks.iter().any(Disk::is_busy)
     }
 
-    /// `cancel_queued_where`.
-    pub fn cancel_queued_where(&mut self, pred: impl Fn(&T) -> bool) -> Vec<T> {
-        let mut removed = Vec::new();
-        for d in &mut self.disks {
-            removed.extend(d.cancel_queued_where(&pred));
-        }
-        removed
+    /// [`Disk::cancel_queued_where`] on every disk; returns how many
+    /// requests were removed in all.
+    pub fn cancel_queued_where(&mut self, pred: impl Fn(&T) -> bool) -> usize {
+        self.disks
+            .iter_mut()
+            .map(|d| d.cancel_queued_where(&pred))
+            .sum()
     }
 
     /// Fault injection: stall every disk until `until`.
@@ -354,8 +346,7 @@ mod tests {
         d.submit(SimTime::ZERO, 1, false, SimDuration::from_millis(10));
         d.submit(SimTime::ZERO, 2, false, SimDuration::from_millis(10));
         d.submit(SimTime::ZERO, 3, true, SimDuration::from_millis(10));
-        let removed = d.cancel_queued_where(|t| *t != 1);
-        assert_eq!(removed, vec![2, 3]);
+        assert_eq!(d.cancel_queued_where(|t| *t != 1), 2);
         assert_eq!(d.advance(SimTime(10 * MS)), vec![1]);
         assert_eq!(d.next_completion(), None);
     }
