@@ -335,10 +335,9 @@ fn whole_sim(c: &mut Criterion) {
         });
     }
     // The replication no-op tax: the same 2PL run routed through the
-    // single-copy replication path (ROWA, factor 1). Simulated behavior is
-    // bit-identical to `2PL`; the gap to it is the per-transaction
-    // materialization cost, and the guard in BENCH_core.json keeps it from
-    // creeping.
+    // replica router at factor 1 (ROWA). Simulated behavior is
+    // bit-identical to `2PL`; the gap to it is the per-transaction routing
+    // cost, and the guard in BENCH_core.json keeps it from creeping.
     group.bench_function(BenchmarkId::from_parameter("2PL-rep1"), |b| {
         let mut config = Config::paper(Algorithm::TwoPhaseLocking, 8, 8, 4.0);
         config.replication = ddbm_config::ReplicationParams::rowa(1);

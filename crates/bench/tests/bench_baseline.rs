@@ -28,9 +28,10 @@ fn median(snapshot: &Value, name: &str) -> f64 {
 }
 
 /// The replication no-op tax: `2PL-rep1` is the same 2PL run routed
-/// through the single-copy replication path, so after route interning its
-/// whole-sim median must sit within 2% of plain `2PL`. A regression here
-/// means factor-1 runs are re-materializing replica routes again.
+/// through the replica router at factor 1, which copies each logical plan
+/// into a recycled physical plan, so its whole-sim median must sit within
+/// 2% of plain `2PL`. A regression here means routing has grown costly
+/// again, e.g. by allocating per route.
 #[test]
 fn factor_one_replication_tax_is_within_two_percent() {
     let after = after();
@@ -40,7 +41,7 @@ fn factor_one_replication_tax_is_within_two_percent() {
     assert!(
         tax <= 0.02,
         "2PL-rep1 is {:.1}% slower than 2PL (allowed: 2%); \
-         the factor-1 route-interning fast path has regressed",
+         factor-1 replica routing has grown costly",
         tax * 100.0
     );
 }

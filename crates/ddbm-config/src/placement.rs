@@ -210,11 +210,13 @@ impl Placement {
 
     /// The ordered replica set of `file`: the primary first, then each copy
     /// on the next node in ring order. All `factor` nodes are distinct.
-    pub fn replicas(&self, file: FileId, num_proc_nodes: usize) -> Vec<NodeId> {
+    pub fn replicas(
+        &self,
+        file: FileId,
+        num_proc_nodes: usize,
+    ) -> impl Iterator<Item = NodeId> + Clone {
         let primary = self.node_of[file.0].0 - 1;
-        (0..self.factor)
-            .map(|k| NodeId((primary + k) % num_proc_nodes + 1))
-            .collect()
+        (0..self.factor).map(move |k| NodeId((primary + k) % num_proc_nodes + 1))
     }
 
     #[inline]
@@ -259,9 +261,9 @@ impl Placement {
     /// files-per-node count.
     pub fn files_per_node(&self, num_proc_nodes: usize) -> Vec<usize> {
         let mut counts = vec![0usize; num_proc_nodes];
-        for n in &self.node_of {
-            for k in 0..self.factor {
-                counts[(n.0 - 1 + k) % num_proc_nodes] += 1;
+        for file in 0..self.num_files() {
+            for node in self.replicas(FileId(file), num_proc_nodes) {
+                counts[node.0 - 1] += 1;
             }
         }
         counts
@@ -447,7 +449,7 @@ mod tests {
         let p = Placement::replicated_layout(&db, 8, 3).unwrap();
         for f in 0..db.num_files() {
             let file = FileId(f);
-            let rs = p.replicas(file, 8);
+            let rs: Vec<NodeId> = p.replicas(file, 8).collect();
             assert_eq!(rs.len(), 3);
             assert_eq!(rs[0], p.node_of(file), "primary leads the replica set");
             let mut distinct = rs.clone();
@@ -474,7 +476,7 @@ mod tests {
         assert_eq!(single, replicated);
         for f in 0..db.num_files() {
             assert_eq!(
-                replicated.replicas(FileId(f), 8),
+                replicated.replicas(FileId(f), 8).collect::<Vec<_>>(),
                 vec![single.node_of(FileId(f))]
             );
         }

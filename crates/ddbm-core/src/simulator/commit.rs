@@ -9,9 +9,7 @@ use super::Simulator;
 use crate::protocol::{AbortCause, CohortIdx, CpuJob, DiskJob, Event, MsgKind, RunId};
 use crate::txn::{CohortRun, TxnPhase, TxnRuntime};
 use crate::witness::WitnessEvent;
-use crate::workload::{
-    generate_template_into, materialize_replicated, route_identity_factor_one, TxnTemplate,
-};
+use crate::workload::{generate_template_into, route_replicated, TxnTemplate};
 use ddbm_cc::Ts;
 use ddbm_config::{ExecPattern, NodeId, PageId, TxnId};
 use denet::SimTime;
@@ -28,7 +26,7 @@ impl Simulator {
             // Oracle replay: fixed templates in submission order; once the
             // script runs dry the terminal simply stops submitting. Scripted
             // templates are already physical (replica routing baked in at
-            // recording time), so they are never re-materialized.
+            // recording time), so they are never re-routed.
             let Some(t) = script.templates.get(script.next) else {
                 return;
             };
@@ -53,8 +51,19 @@ impl Simulator {
                 // the usual restart delay.
                 let routed = self.route(&tpl);
                 unavailable = routed.is_none();
-                logical = Some(Rc::clone(&tpl));
-                routed.unwrap_or(tpl)
+                // Only a restart under faults re-routes the logical plan
+                // (see `restart_txn`), so only then is it kept; otherwise
+                // `put_template` hands it straight back to the freelist.
+                if self.faults_enabled {
+                    logical = Some(Rc::clone(&tpl));
+                }
+                match routed {
+                    Some(physical) => {
+                        self.put_template(tpl);
+                        physical
+                    }
+                    None => tpl,
+                }
             } else {
                 tpl
             }
@@ -81,31 +90,27 @@ impl Simulator {
         self.cpu_shared(now, NodeId::HOST, job, startup);
     }
 
-    /// Replication: route a logical plan onto the currently live replicas;
-    /// `None` when some file has no live read/write replica set. At factor 1
-    /// routing is the identity (see [`route_identity_factor_one`]), so the
-    /// logical plan *is* the physical plan: it is shared, not
-    /// re-materialized, and only availability is checked. Higher factors
-    /// materialize a fresh pooled plan (see [`materialize_replicated`]).
-    fn route(&mut self, logical: &Rc<TxnTemplate>) -> Option<Rc<TxnTemplate>> {
-        if self.placement.factor() == 1 {
-            let up = |n: NodeId| self.nodes[n.0].up;
-            let routed = route_identity_factor_one(logical, up, &mut self.read_rr);
-            return routed.ok().map(|()| Rc::clone(logical));
-        }
-        let mut up = std::mem::take(&mut self.route_up);
-        up.clear();
-        up.extend(self.nodes.iter().map(|n| n.up));
-        let routed = materialize_replicated(
+    /// Replication: route a logical plan onto the currently live replicas
+    /// (see [`route_replicated`]), into a plan from the freelist; `None`
+    /// when some file has no live read/write replica set.
+    fn route(&mut self, logical: &TxnTemplate) -> Option<Rc<TxnTemplate>> {
+        let mut tpl = self.take_template();
+        let out = Rc::get_mut(&mut tpl).expect("pooled template is uniquely owned");
+        let nodes = &self.nodes;
+        let routed = route_replicated(
             &self.config,
             &self.placement,
             logical,
-            &up,
+            |n| nodes[n.0].up,
             &mut self.read_rr,
             self.hooks.skip_replica_write,
+            out,
         );
-        self.route_up = up;
-        Some(self.pooled_template(routed.ok()?))
+        if routed.is_err() {
+            self.put_template(tpl);
+            return None;
+        }
+        Some(tpl)
     }
 
     /// Upper bound on each freelist; anything beyond the cap is genuinely
@@ -147,10 +152,11 @@ impl Simulator {
         v
     }
 
-    /// Return a finished transaction's heap parts to the freelists. The
-    /// logical handle is dropped (or pooled) before the physical one, so a
-    /// factor-1 run sharing one plan `Rc` between the two sees the survivor
-    /// become uniquely owned and reusable.
+    /// Return a finished transaction's heap parts to the freelists. A kept
+    /// logical plan goes back after the physical one, so the next
+    /// submission generates into this logical plan's buffers and routes
+    /// into this route's: each keeps its cohort count, and no access buffer
+    /// is dropped and regrown.
     fn recycle_txn(&mut self, txn: TxnRuntime) {
         let TxnRuntime {
             template,
@@ -158,12 +164,10 @@ impl Simulator {
             mut cohorts,
             ..
         } = txn;
-        if let Some(l) = logical {
-            if !Rc::ptr_eq(&l, &template) {
-                self.put_template(l);
-            }
-        }
         self.put_template(template);
+        if let Some(l) = logical {
+            self.put_template(l);
+        }
         if self.cohort_pool.len() < Self::POOL_CAP {
             cohorts.clear();
             self.cohort_pool.push(cohorts);
@@ -191,7 +195,7 @@ impl Simulator {
         // Replication under faults: the live-replica set may have changed
         // since the last run, so the logical plan is re-routed before the
         // cohorts load. Fault-free replicated runs keep their original
-        // routing (re-materializing would advance the read cursor and pick
+        // routing (re-routing would advance the read cursor and pick
         // the same live set anyway), which also keeps recorded oracle
         // workloads aligned with their replays.
         if self.replication_on && self.faults_enabled {

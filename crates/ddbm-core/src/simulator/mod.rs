@@ -92,7 +92,7 @@ pub struct TestHooks {
     #[serde(default)]
     pub early_lock_release: bool,
     /// Replication: silently drop the last replica from every multi-replica
-    /// write set at materialization time, so a committed write is never
+    /// write set at routing time, so a committed write is never
     /// installed there — the classic stale-replica defect. The oracle's
     /// under-replication / one-copy-serializability checkers must catch it.
     #[serde(default)]
@@ -137,10 +137,10 @@ pub struct Simulator {
     /// call, and template generation needs it once per transaction.
     cohort_groups: Vec<Vec<(NodeId, Vec<ddbm_config::FileId>)>>,
     /// Freelist of uniquely-owned transaction plans. A committed
-    /// transaction's template (and, under replication, its logical plan)
-    /// returns here, and the next submission writes its fresh plan into the
-    /// recycled cohort/access vectors through `Rc::get_mut` — steady-state
-    /// admission allocates nothing.
+    /// transaction's template (and its logical plan, if one was kept for
+    /// re-routing) returns here, and the next submission writes its fresh
+    /// plan into the recycled cohort/access vectors through `Rc::get_mut` —
+    /// steady-state admission allocates nothing.
     tpl_pool: Vec<Rc<TxnTemplate>>,
     /// Freelist of per-cohort progress vectors (`TxnRuntime::cohorts`).
     cohort_pool: Vec<Vec<CohortRun>>,
@@ -151,8 +151,6 @@ pub struct Simulator {
     edge_pool: Vec<Vec<(TxnId, TxnId)>>,
     /// Page-sampling scratch reused across template generations.
     sample_scratch: Vec<usize>,
-    /// Node-liveness scratch reused across replica materializations.
-    route_up: Vec<bool>,
     rng_think: SimRng,
     rng_work: SimRng,
     rng_proc: SimRng,
@@ -265,7 +263,6 @@ impl Simulator {
                 .collect(),
             edge_pool: Vec::new(),
             sample_scratch: Vec::new(),
-            route_up: Vec::new(),
             rng_think: SimRng::derive(seed, "think"),
             rng_work: SimRng::derive(seed, "workload"),
             rng_proc: SimRng::derive(seed, "page-processing"),

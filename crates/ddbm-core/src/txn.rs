@@ -141,10 +141,11 @@ pub struct TxnRuntime {
     /// not a deep copy of the access lists.
     pub template: Rc<TxnTemplate>,
     /// Replication: the logical (single-copy) access plan this run's
-    /// `template` was materialized from. Kept so a restart can re-route the
+    /// `template` was routed from. Kept so a restart can re-route the
     /// same logical accesses onto the replicas that are live *then* (the
     /// crash-epoch-aware part of replica selection). `None` when replication
-    /// is off or the template came from a fixed replay script.
+    /// or fault injection is off (nothing re-routes) or the template came
+    /// from a fixed replay script.
     pub logical: Option<Rc<TxnTemplate>>,
     /// First submission time; response time is measured from here across
     /// all restarts, and it doubles as the (stable) initial timestamp.
@@ -246,7 +247,7 @@ impl TxnRuntime {
         self.blocked_cohorts = 0;
     }
 
-    /// Replication: install a freshly materialized physical plan for the
+    /// Replication: install a freshly routed physical plan for the
     /// current run (replica routing can differ run to run as nodes crash
     /// and recover), rebuilding the per-cohort progress to match. Returns
     /// the superseded plan so the caller can recycle it.

@@ -14,8 +14,6 @@
 use ddbm_config::{Config, FileId, NodeId, PageId, Placement, ReplicaControl};
 use denet::SimRng;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// One page access by a cohort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -118,132 +116,92 @@ pub fn generate_template_into(
     debug_assert_eq!(out.cohorts.len(), config.database.declustering_degree);
 }
 
-/// Route a logical (single-copy) template onto a replicated machine.
+/// Route a logical (single-copy) template onto the live replicas, writing
+/// the physical plan into `out`, whose cohort and access buffers are reused.
 ///
 /// The logical template produced by [`generate_template`] names each file's
 /// *primary* node; under replication every access must instead touch a set
 /// of live replicas chosen by the configured replica control:
 ///
 /// * reads go to `read_quorum()` live replicas, rotating the starting
-///   replica via the caller's `read_rr` cursor so read load spreads over
-///   the replica set deterministically (no RNG draws — a disabled or
-///   `factor = 1` configuration never calls this function and stays
-///   bit-identical to the single-copy simulator);
+///   replica via the caller's `read_rr` cursor (one step per file) so read
+///   load spreads over the replica set deterministically (no RNG draws);
 /// * ROWA writes go to *every* live replica (write-all-available); quorum
 ///   writes go to the first `write_quorum()` live replicas in replica-set
 ///   order (primary-preferred).
 ///
-/// Per file, the read and write target sets are chosen once and shared by
-/// all of the transaction's pages in that file. Returns the file that could
-/// not assemble a live read or write set, which the caller reports as a
-/// `ReplicaUnavailable` abort. `skip_replica_write` is the deliberate
-/// stale-read defect hook: it silently drops the last replica from every
-/// multi-replica write set, leaving that replica stale after commit.
-pub fn materialize_replicated(
+/// [`generate_template`] keeps each file's accesses contiguous and within
+/// one cohort, so each file's read and write sets are chosen once, for its
+/// run of accesses. The plan has one cohort per target node in ascending
+/// node order, each holding its accesses in logical order; at factor 1 with
+/// every node up it equals the logical plan. Returns the first file that
+/// cannot assemble a live read or write set (leaving `out` unspecified),
+/// which the caller reports as a `ReplicaUnavailable` abort.
+/// `skip_replica_write` is the deliberate stale-read defect hook: it
+/// silently drops the last replica from every multi-replica write set,
+/// leaving that replica stale after commit.
+pub fn route_replicated(
     config: &Config,
     placement: &Placement,
     logical: &TxnTemplate,
-    node_up: &[bool],
+    node_up: impl Fn(NodeId) -> bool,
     read_rr: &mut u64,
     skip_replica_write: bool,
-) -> Result<TxnTemplate, FileId> {
+    out: &mut TxnTemplate,
+) -> Result<(), FileId> {
     let n = config.system.num_proc_nodes;
     let rp = &config.replication;
     let rowa = rp.control == ReplicaControl::ReadOneWriteAll;
     let (need_r, need_w) = (rp.read_quorum(), rp.write_quorum());
-    let mut targets: HashMap<FileId, (Vec<NodeId>, Vec<NodeId>)> = HashMap::new();
-    let mut cohorts: Vec<CohortSpec> = Vec::new();
-    for spec in &logical.cohorts {
-        for acc in &spec.accesses {
-            let file = acc.page.file;
-            let (reads, writes) = match targets.entry(file) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    let live: Vec<NodeId> = placement
-                        .replicas(file, n)
-                        .into_iter()
-                        .filter(|r| node_up[r.0])
-                        .collect();
-                    if live.is_empty() || live.len() < need_r || live.len() < need_w {
-                        return Err(file);
+    out.relation = logical.relation;
+    let mut used = 0;
+    let runs = logical
+        .cohorts
+        .iter()
+        .flat_map(|c| c.accesses.chunk_by(|a, b| a.page.file == b.page.file));
+    for run in runs {
+        let file = run[0].page.file;
+        let live = || placement.replicas(file, n).filter(|r| node_up(*r));
+        let len = live().count();
+        if len == 0 || len < need_r || len < need_w {
+            return Err(file);
+        }
+        let mut writes = if rowa { len } else { need_w };
+        if skip_replica_write && writes > 1 {
+            writes -= 1;
+        }
+        let start = (*read_rr as usize) % len;
+        *read_rr += 1;
+        for (i, node) in live().enumerate() {
+            let (read, write) = ((i + len - start) % len < need_r, i < writes);
+            // A replica that serves one kind of access gets a cohort only if
+            // the run has an access of that kind.
+            if !(read || write) || (read != write && !run.iter().any(|a| a.write == write)) {
+                continue;
+            }
+            let k = match out.cohorts[..used].iter().position(|c| c.node == node) {
+                Some(k) => k,
+                None => {
+                    // Reuse the buffers of the cohorts `out` held before.
+                    if used == out.cohorts.len() {
+                        out.cohorts.push(CohortSpec {
+                            node,
+                            accesses: Vec::new(),
+                        });
                     }
-                    let mut writes: Vec<NodeId> = if rowa {
-                        live.clone()
-                    } else {
-                        live.iter().copied().take(need_w).collect()
-                    };
-                    if skip_replica_write && writes.len() > 1 {
-                        writes.pop();
-                    }
-                    let start = (*read_rr as usize) % live.len();
-                    *read_rr += 1;
-                    let reads: Vec<NodeId> = (0..need_r)
-                        .map(|k| live[(start + k) % live.len()])
-                        .collect();
-                    e.insert((reads, writes))
+                    out.cohorts[used].node = node;
+                    out.cohorts[used].accesses.clear();
+                    used += 1;
+                    used - 1
                 }
             };
-            let (reads, writes) = (&*reads, &*writes);
-            for node in if acc.write { writes } else { reads } {
-                match cohorts.iter_mut().find(|c| c.node == *node) {
-                    Some(c) => c.accesses.push(*acc),
-                    None => cohorts.push(CohortSpec {
-                        node: *node,
-                        accesses: vec![*acc],
-                    }),
-                }
-            }
+            let served = run.iter().filter(|a| (read && write) || a.write == write);
+            out.cohorts[k].accesses.extend(served);
         }
     }
-    cohorts.sort_by_key(|c| c.node);
-    Ok(TxnTemplate {
-        relation: logical.relation,
-        cohorts,
-    })
-}
-
-/// Replica-route interning for factor-1 machines.
-///
-/// At replication factor 1 every file has exactly one replica — its primary
-/// — so [`materialize_replicated`] is the identity whenever every cohort
-/// node is up: each file's read and write sets are both `[primary]`, and
-/// the per-access expansion reproduces the logical cohorts verbatim (both
-/// sides keep cohorts in ascending node order and accesses in generation
-/// order; `factor_one_materialization_is_the_identity` pins this). Callers
-/// therefore skip materialization entirely at factor 1 and share the
-/// logical plan `Rc` as the physical plan, only advancing the read cursor
-/// by the number of distinct files to mirror the slow path's cursor
-/// consumption. Returns the first file routed to a down node — the same
-/// file the slow path would report — so availability behavior is unchanged.
-pub fn route_identity_factor_one(
-    logical: &TxnTemplate,
-    node_up: impl Fn(NodeId) -> bool,
-    read_rr: &mut u64,
-) -> Result<(), FileId> {
-    for spec in &logical.cohorts {
-        if !node_up(spec.node) {
-            return Err(spec.accesses[0].page.file);
-        }
-    }
-    *read_rr += distinct_files(logical) as u64;
+    out.cohorts.truncate(used);
+    out.cohorts.sort_unstable_by_key(|c| c.node);
     Ok(())
-}
-
-/// Number of distinct files a template touches. `generate_template` pushes
-/// each file's accesses contiguously and no file spans cohorts, so counting
-/// run transitions within each cohort suffices — no set, no allocation.
-fn distinct_files(t: &TxnTemplate) -> usize {
-    let mut n = 0;
-    for c in &t.cohorts {
-        let mut last = None;
-        for a in &c.accesses {
-            if last != Some(a.page.file) {
-                n += 1;
-                last = Some(a.page.file);
-            }
-        }
-    }
-    n
 }
 
 fn push_file_accesses(
@@ -380,41 +338,24 @@ mod tests {
     }
 
     #[test]
-    fn factor_one_materialization_is_the_identity() {
-        let (mut c, _, mut rng) = setup(8, 8);
-        c.replication = ddbm_config::ReplicationParams::rowa(1);
-        let p = c.placement().unwrap();
-        let up = vec![true; 9];
-        for term in 0..32 {
-            let logical = generate_template(&c, &p, &mut rng, term % 128);
-            let (mut rr_slow, mut rr_fast) = (5u64, 5u64);
-            let phys = materialize_replicated(&c, &p, &logical, &up, &mut rr_slow, false).unwrap();
-            assert_eq!(phys, logical, "factor-1 routing must be the identity");
-            route_identity_factor_one(&logical, |n| up[n.0], &mut rr_fast).unwrap();
-            assert_eq!(
-                rr_slow, rr_fast,
-                "interned route must consume the read cursor like the slow path"
-            );
+    fn factor_one_routing_is_the_identity() {
+        let mut out = TxnTemplate {
+            relation: 0,
+            cohorts: Vec::new(),
+        };
+        for degree in [1, 2, 8] {
+            let (mut c, _, mut rng) = setup(degree, 8);
+            c.replication = ddbm_config::ReplicationParams::rowa(1);
+            let p = c.placement().unwrap();
+            for term in 0..32 {
+                let logical = generate_template(&c, &p, &mut rng, term % 128);
+                let mut rr = 5u64;
+                route_replicated(&c, &p, &logical, |_| true, &mut rr, false, &mut out).unwrap();
+                assert_eq!(out, logical, "factor-1 routing must be the identity");
+                let files = c.database.partitions_per_relation as u64;
+                assert_eq!(rr, 5 + files, "one read-cursor step per file");
+            }
         }
-    }
-
-    #[test]
-    fn factor_one_down_node_errs_like_the_slow_path() {
-        let (mut c, _, mut rng) = setup(8, 8);
-        c.replication = ddbm_config::ReplicationParams::rowa(1);
-        let p = c.placement().unwrap();
-        let mut up = vec![true; 9];
-        up[3] = false;
-        let mut found = false;
-        for term in 0..32 {
-            let logical = generate_template(&c, &p, &mut rng, term % 128);
-            let (mut rr_slow, mut rr_fast) = (0u64, 0u64);
-            let slow = materialize_replicated(&c, &p, &logical, &up, &mut rr_slow, false);
-            let fast = route_identity_factor_one(&logical, |n| up[n.0], &mut rr_fast);
-            assert_eq!(slow.err(), fast.err(), "terminal {term}");
-            found |= fast.is_err();
-        }
-        assert!(found, "no template touched the down node");
     }
 
     #[test]

@@ -19,7 +19,6 @@ use denet::{FxHashMap, FxHashSet, SimTime};
 #[derive(Debug, Default)]
 pub struct PhaseTracker {
     phases: FxHashMap<(TxnId, RunId), TxnPhase>,
-    committed: FxHashSet<(TxnId, RunId)>,
     /// Failed certifications still awaiting the commit check:
     /// `(txn, run) → [(node, node crash count at certify time)]`.
     failed_certify: FxHashMap<(TxnId, RunId), Vec<(NodeId, u64)>>,
@@ -38,11 +37,6 @@ impl PhaseTracker {
     /// Current coordinator phase of `(txn, run)`, if the run has started.
     pub fn phase(&self, txn: TxnId, run: RunId) -> Option<TxnPhase> {
         self.phases.get(&(txn, run)).copied()
-    }
-
-    /// True when the run's durable commit has been witnessed.
-    pub fn is_committed(&self, txn: TxnId, run: RunId) -> bool {
-        self.committed.contains(&(txn, run))
     }
 
     /// True when this node's CC state for the run was already released.
@@ -245,7 +239,6 @@ impl PhaseTracker {
                         }
                     }
                 }
-                self.committed.insert((txn, run));
             }
             WitnessEvent::NodeCrash { node } => {
                 *self.crash_counts.entry(node).or_insert(0) += 1;

@@ -18,7 +18,9 @@
 //! lock manager (2PL), basic timestamp ordering and optimistic
 //! certification. Each keeps that state in a dense page table whose entries
 //! are never removed, and its per-transaction access lists in pooled
-//! buffers grown to a capacity floor.
+//! buffers grown to a capacity floor. 2PL and OPT run a second time over
+//! 3-way ROWA replication, where every submission also routes its logical
+//! plan onto the replicas into a recycled physical plan.
 //!
 //! The workload is chosen to be contention-free (one terminal per relation,
 //! so two transactions never touch the same relation concurrently) with a
@@ -31,7 +33,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ddbm_config::{Algorithm, Config};
+use ddbm_config::{Algorithm, Config, ReplicationParams};
 use ddbm_core::run_config;
 
 /// Counts allocation *events* (alloc + realloc); frees are not interesting
@@ -71,17 +73,18 @@ const BASE_COMMITS: u64 = 100;
 const EXTRA_COMMITS: u64 = 100;
 
 /// A deterministic, contention-free configuration whose per-page state
-/// saturates during warmup.
-fn config(algorithm: Algorithm, measure_commits: u64) -> Config {
+/// saturates during warmup, with single-copy data or `replication`.
+fn config(algorithm: Algorithm, replication: ReplicationParams, measure_commits: u64) -> Config {
     let mut c = Config::paper(algorithm, 8, 8, 0.0);
+    c.replication = replication;
     // One terminal per relation: a terminal has one outstanding transaction
     // and every transaction touches exactly one relation, so no two
     // concurrent transactions ever conflict — commits exercise the pooled
     // fast paths only.
     c.workload.num_terminals = 8;
-    // Shrink the page space (8 files/node x 32 pages = 256 pages/node) so
-    // the warmup touches essentially every page and the page tables reach
-    // their full size before measurement starts.
+    // Shrink the page space (8 files/node x 32 pages = 256 pages/node, per
+    // copy) so the warmup touches essentially every page and the page
+    // tables reach their full size before measurement starts.
     c.database.pages_per_file = 32;
     c.control.seed = 0xA110C;
     // Long enough for every page's state entry and every pooled buffer to
@@ -94,9 +97,9 @@ fn config(algorithm: Algorithm, measure_commits: u64) -> Config {
 
 /// Allocation events for one full run (construction + warmup + measurement
 /// + report).
-fn alloc_events(algorithm: Algorithm, measure_commits: u64) -> u64 {
+fn alloc_events(algorithm: Algorithm, replication: ReplicationParams, measure_commits: u64) -> u64 {
     let before = ALLOC_EVENTS.load(Ordering::Relaxed);
-    let report = run_config(config(algorithm, measure_commits)).expect("valid config");
+    let report = run_config(config(algorithm, replication, measure_commits)).expect("valid config");
     assert_eq!(report.commits, measure_commits, "run completed its target");
     assert_eq!(report.aborts, 0, "workload must be contention-free");
     ALLOC_EVENTS.load(Ordering::Relaxed) - before
@@ -104,31 +107,36 @@ fn alloc_events(algorithm: Algorithm, measure_commits: u64) -> u64 {
 
 /// Allocations attributable to `EXTRA_COMMITS` steady-state commits: the
 /// count of the longer run minus the count of its deterministic prefix.
-fn steady_state_allocs(algorithm: Algorithm) -> i64 {
+fn steady_state_allocs(algorithm: Algorithm, replication: ReplicationParams) -> i64 {
     // A throwaway run first: the process's first simulation also pays
     // one-time lazy initialization (thread-locals, stdio, …) that would
     // inflate the baseline and skew the comparison.
-    let _ = alloc_events(algorithm, BASE_COMMITS);
-    let base = alloc_events(algorithm, BASE_COMMITS);
-    let longer = alloc_events(algorithm, BASE_COMMITS + EXTRA_COMMITS);
+    let _ = alloc_events(algorithm, replication, BASE_COMMITS);
+    let base = alloc_events(algorithm, replication, BASE_COMMITS);
+    let longer = alloc_events(algorithm, replication, BASE_COMMITS + EXTRA_COMMITS);
     longer as i64 - base as i64
 }
 
 #[test]
 fn steady_state_commits_do_not_allocate() {
-    // All three manager families in one #[test]: the counter is global, so
-    // the measurements must not run on concurrent test threads.
-    for algorithm in [
-        Algorithm::TwoPhaseLocking,
-        Algorithm::BasicTimestampOrdering,
-        Algorithm::Optimistic,
+    // Every case in one #[test]: the counter is global, so the measurements
+    // must not run on concurrent test threads.
+    let single = ReplicationParams::default();
+    let rowa3 = ReplicationParams::rowa(3);
+    for (algorithm, replication) in [
+        (Algorithm::TwoPhaseLocking, single),
+        (Algorithm::BasicTimestampOrdering, single),
+        (Algorithm::Optimistic, single),
+        (Algorithm::TwoPhaseLocking, rowa3),
+        (Algorithm::Optimistic, rowa3),
     ] {
-        let allocs = steady_state_allocs(algorithm);
+        let allocs = steady_state_allocs(algorithm, replication);
         assert_eq!(
             allocs, 0,
-            "{algorithm:?}: {allocs} allocation(s) across {EXTRA_COMMITS} \
-             steady-state commits; the per-transaction hot path must run \
-             entirely from recycled pools"
+            "{algorithm:?}, replication factor {}: {allocs} allocation(s) \
+             across {EXTRA_COMMITS} steady-state commits; the per-transaction \
+             hot path must run entirely from recycled pools",
+            replication.factor
         );
     }
 }

@@ -135,8 +135,8 @@ fn crashes(c: &mut Config, rate: f64) {
 }
 
 /// 2PL over 3-way read-one/write-all replication with node crashes:
-/// restarts are re-routed through full materialization, and runs that
-/// find a file's replica down abort as replica-unavailable.
+/// restarts re-route the logical plan onto the live replicas, and runs
+/// that find a file's replica down abort as replica-unavailable.
 fn rowa3_crashes() -> Config {
     let mut c = Config::paper(Algorithm::TwoPhaseLocking, 4, 4, 1.0);
     c.replication = ReplicationParams::rowa(3);
@@ -145,8 +145,9 @@ fn rowa3_crashes() -> Config {
     short(c)
 }
 
-/// Wound-wait over factor-1 replication with node crashes: restarts take
-/// the interned identity route, which only re-checks availability.
+/// Wound-wait over factor-1 replication with node crashes: each restart
+/// re-routes the logical plan, which fails while the one copy's node is
+/// down.
 fn rowa1_crashes() -> Config {
     let mut c = Config::paper(Algorithm::WoundWait, 8, 8, 1.0);
     c.replication = ReplicationParams::rowa(1);
